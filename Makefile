@@ -2,7 +2,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test chaos serving-chaos incremental recovery-chaos bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery lint lint-report
+.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery lint lint-report
 
 test: lint
 	python -m pytest -x -q
@@ -26,6 +26,12 @@ incremental:
 # determinism gate.
 recovery-chaos:
 	python -m pytest -q -m recovery
+
+# The wall-clock benchmark's own smoke tests (perfbench/, small sizes):
+# every workload runs end to end with its output checks, and the traced
+# run still finds each layer entry point it wraps by name.
+perfbench-smoke:
+	python -m pytest -q perfbench/tests
 
 bench: bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery
 	cd benchmarks && PYTHONPATH=../src python -m pytest -q

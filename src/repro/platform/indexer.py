@@ -60,7 +60,13 @@ class Posting:
 
 
 class InvertedIndex:
-    """Positional inverted index plus concept and metadata indices."""
+    """Positional inverted index plus concept and metadata indices.
+
+    ``mutations`` counts every write (:meth:`add_entity`,
+    :meth:`remove_entity`, :meth:`absorb`); together with the object's
+    identity it stamps the content, so a digest memoised against it goes
+    stale exactly when the index changes.
+    """
 
     def __init__(self, tokenizer: Tokenizer | None = None):
         self._tokenizer = tokenizer or Tokenizer()
@@ -69,11 +75,13 @@ class InvertedIndex:
         self._metadata: dict[str, dict[str, float]] = defaultdict(dict)
         self._locations: dict[str, list[tuple[float, float]]] = defaultdict(list)
         self._doc_ids: set[str] = set()
+        self.mutations = 0
 
     # -- construction ---------------------------------------------------------------
 
     def add_entity(self, entity: Entity) -> None:
         """Index one entity's text tokens, concepts and numeric metadata."""
+        self.mutations += 1
         if entity.entity_id in self._doc_ids:
             self.remove_entity(entity.entity_id)
         self._doc_ids.add(entity.entity_id)
@@ -108,6 +116,7 @@ class InvertedIndex:
         had never been indexed — otherwise a build that saw a delete and
         a build that never saw the document disagree.
         """
+        self.mutations += 1
         self._doc_ids.discard(entity_id)
         for token in [t for t, postings in self._postings.items() if entity_id in postings]:
             postings = self._postings[token]
@@ -135,6 +144,7 @@ class InvertedIndex:
         Documents already present are replaced, matching
         :meth:`add_entity` semantics.  Returns the documents absorbed.
         """
+        self.mutations += 1
         count = 0
         for entity_id in other._doc_ids:
             if entity_id in skip:
@@ -291,14 +301,18 @@ class SentimentIndex:
 
     "An alternative approach is to apply sentiment analysis to the entire
     corpus offline and index on them for quick query time response."
+
+    ``mutations`` counts every write, as on :class:`InvertedIndex`.
     """
 
     def __init__(self):
         self._by_subject: dict[str, list[SentimentEntry]] = defaultdict(list)
+        self.mutations = 0
 
     def add_judgment(self, judgment: SentimentJudgment) -> None:
         if not judgment.polarity.is_polar:
             return  # only polar findings are indexed
+        self.mutations += 1
         entry = SentimentEntry(
             subject=judgment.subject_name,
             polarity=judgment.polarity,
@@ -318,6 +332,7 @@ class SentimentIndex:
 
     def add_entry(self, entry: SentimentEntry) -> None:
         """Append one pre-built entry (segment merges replay these)."""
+        self.mutations += 1
         self._by_subject[entry.subject.lower()].append(entry)
 
     def remove_document(self, entity_id: str) -> int:
@@ -328,6 +343,7 @@ class SentimentIndex:
         document — the same batch/incremental equivalence contract as
         :meth:`InvertedIndex.remove_entity`.  Returns entries dropped.
         """
+        self.mutations += 1
         dropped = 0
         for subject in list(self._by_subject):
             entries = self._by_subject[subject]
@@ -341,6 +357,7 @@ class SentimentIndex:
 
     def absorb(self, other: "SentimentIndex", skip: frozenset[str] = frozenset()) -> int:
         """Append *other*'s entries (insertion order kept), excluding *skip* docs."""
+        self.mutations += 1
         count = 0
         for subject in sorted(other._by_subject):
             for entry in other._by_subject[subject]:

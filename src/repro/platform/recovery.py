@@ -292,10 +292,13 @@ class RecoveryManager:
                     -r.node_id,
                 ),
             )
+            # The donor is never a sync target, so its vector is fixed
+            # for the whole loop.
+            donor_vector = donor.version_vector()
             for replica in live:
                 if replica is donor:
                     continue
-                if replica.version_vector() == donor.version_vector():
+                if replica.version_vector() == donor_vector:
                     continue
                 docs = self._index.sync_replica(replica, donor)
                 if docs:

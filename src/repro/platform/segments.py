@@ -185,12 +185,18 @@ class ShardSegment:
     the offline bulk-build path writes there.  Versions ≥ 1 are slices
     of absorbed :class:`IndexSegment`\\ s and are immutable; replicas of
     the same shard share the slice objects.
+
+    ``_digest_memo`` is :func:`~.serving.shards.segment_digest`'s cache:
+    ``(content stamp, digest)`` from the last time it hashed this segment.
     """
 
     version: int
     sentiment: SentimentIndex = field(default_factory=SentimentIndex)
     inverted: InvertedIndex = field(default_factory=InvertedIndex)
     tombstones: frozenset[str] = frozenset()
+    _digest_memo: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def _masks(segments: list[ShardSegment]) -> list[frozenset[str]]:

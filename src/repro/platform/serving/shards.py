@@ -77,7 +77,33 @@ def segment_digest(segment: ShardSegment) -> str:
     It is *content*-based on purpose: distinct Python objects (a base
     built twice, a replayed slice, a per-replica compaction merge) must
     compare equal when they would answer every query identically.
+
+    The digest is memoised on the segment against a content stamp: the
+    version, the tombstone set, and the identity and ``mutations``
+    counter of both indexes.  Every index write bumps its counter, so a
+    mutable base (or one shared by two replicas) re-hashes after a write
+    while an absorbed slice is hashed once in its life.
     """
+    sentiment = segment.sentiment
+    inverted = segment.inverted
+    stamp = (
+        segment.version,
+        segment.tombstones,
+        sentiment,
+        sentiment.mutations,
+        inverted,
+        inverted.mutations,
+    )
+    memo = segment._digest_memo
+    if memo is not None and memo[0] == stamp:
+        return memo[1]
+    digest = _segment_hash(segment)
+    segment._digest_memo = (stamp, digest)
+    return digest
+
+
+def _segment_hash(segment: ShardSegment) -> str:
+    """The md5 walk behind :func:`segment_digest` (uncached)."""
     h = hashlib.md5()
     h.update(str(segment.version).encode("utf-8"))
     for tombstone in sorted(segment.tombstones):
@@ -203,10 +229,19 @@ class ReplicatedIndex:
 
     # -- construction (the offline half of mode B) -------------------------------
 
+    def _bases(self, shard_id: int) -> list[ShardSegment]:
+        """Each distinct base segment of a shard, once.
+
+        A recovery copy (:meth:`add_replica`, a full :meth:`sync_replica`)
+        shares its donor's base by reference; a bulk write must land in
+        that shared object once, not once per replica holding it.
+        """
+        return list({id(r.base): r.base for r in self._replicas[shard_id]}.values())
+
     def add_judgment(self, judgment: SentimentJudgment) -> None:
         shard_id = shard_of(judgment.subject_name.lower(), self.num_shards)
-        for replica in self._replicas[shard_id]:
-            replica.base.sentiment.add_judgment(judgment)
+        for base in self._bases(shard_id):
+            base.sentiment.add_judgment(judgment)
 
     def add_judgments(self, judgments: Iterable[SentimentJudgment]) -> int:
         count = 0
@@ -217,8 +252,8 @@ class ReplicatedIndex:
 
     def add_entity(self, entity: Entity) -> None:
         shard_id = shard_of(entity.entity_id, self.num_shards)
-        for replica in self._replicas[shard_id]:
-            replica.base.inverted.add_entity(entity)
+        for base in self._bases(shard_id):
+            base.inverted.add_entity(entity)
 
     def add_entities(self, entities: Iterable[Entity]) -> int:
         count = 0

@@ -10,6 +10,8 @@ end-to-end determinism gates live in ``test_recovery_equivalence.py``.
 import pytest
 
 from repro.core import SentimentMiner, Subject
+from repro.core.model import Polarity, SentimentJudgment, Spot
+from repro.nlp.tokens import Span
 from repro.obs import (
     Obs,
     SLOMonitor,
@@ -319,6 +321,35 @@ class TestShardRecoverySurface:
         assert replica.version_vector() == donor.version_vector()
         with pytest.raises(ValueError):
             index.add_replica(shard_id, free, donor)  # already hosting
+
+    def test_bulk_write_after_re_replication_counts_once(self):
+        # add_replica shares the donor's mutable base by reference; a
+        # bulk write must land in that shared base once, and its memoised
+        # digest must go stale for both replicas holding it.
+        def positive(doc_id):
+            return SentimentJudgment(
+                spot=Spot(Subject("camera"), "camera", Span(0, 6), 0, doc_id),
+                polarity=Polarity.POSITIVE,
+            )
+
+        index = ReplicatedIndex(2, 4, replication=2)
+        index.add_judgment(positive("d1"))
+        shard_id = index.subject_shard("camera")
+        donor = index.replicas_for(shard_id)[0]
+        before = donor.version_vector()
+        free = next(
+            n
+            for n in range(index.num_nodes)
+            if n not in index.nodes_for(shard_id)
+        )
+        copy, _ = index.add_replica(shard_id, free, donor)
+        assert copy.base is donor.base
+        index.add_judgment(positive("d2"))
+        for replica in index.replicas_for(shard_id):
+            assert replica.sentiment.counts("camera")[Polarity.POSITIVE] == 2
+        vectors = {r.version_vector() for r in index.replicas_for(shard_id)}
+        assert len(vectors) == 1
+        assert vectors != {before}
 
     def test_drop_replica_requires_presence(self):
         index, _, _ = build_index()
