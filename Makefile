@@ -2,7 +2,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery lint lint-report
+.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke perfbench-trace bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery lint lint-report
 
 test: lint
 	python -m pytest -x -q
@@ -32,6 +32,15 @@ recovery-chaos:
 # run still finds each layer entry point it wraps by name.
 perfbench-smoke:
 	python -m pytest -q perfbench/tests
+
+# Per-layer breakdown of the benchmark's three workloads at seed 1: each
+# run wraps the layer entry points and prints self ms/op, calls/op,
+# self and inclusive shares, and the unattributed share.  A speed-up
+# claim cites these numbers (about three minutes per workload).
+perfbench-trace:
+	for workload in mine_reviews ingest_web serve_recovery; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 25 --trace 1 || exit 1; \
+	done
 
 bench: bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery
 	cd benchmarks && PYTHONPATH=../src python -m pytest -q

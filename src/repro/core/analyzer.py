@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 from ..lexicons.negation import NEGATION_VERBS
 from ..obs import Obs
+from ..obs.metrics import Counter
 from ..nlp import penn
+from ..nlp.lemmatizer import Lemmatizer, lemmatize
 from ..nlp.parse_cache import ParseMemo
 from ..nlp.parser import Clause, SentenceParse, ShallowParser
 from ..nlp.postagger import PosTagger
@@ -83,8 +85,6 @@ class SentimentAnalyzer:
         for predicate in predicates:
             tagger_lexicon[predicate] = "VB"
         self._tagger = PosTagger(extra_lexicon=tagger_lexicon, memo_size=tag_memo_size)
-        from ..nlp.lemmatizer import Lemmatizer
-
         self._parser = ShallowParser(lemmatizer=Lemmatizer(extra_verb_bases=predicates))
         # Hot-path tables, precompiled once per analyzer (DESIGN.md §5g):
         # the predicate lemma set (bears_sentiment probes it per token),
@@ -102,6 +102,9 @@ class SentimentAnalyzer:
         # step 4.
         self._use_patterns = use_patterns
         self._handle_negation = handle_negation
+        # Per-sentence, per-clause and per-match counters, each bound on
+        # its first increment (see _count).
+        self._counters: dict[str | tuple[str, str], Counter] = {}
 
     # -- pipeline entry points -------------------------------------------------
 
@@ -121,12 +124,27 @@ class SentimentAnalyzer:
         """POS-tag with the lexicon-extended tagger."""
         return self._tagger.tag(sentence)
 
+    def _count(self, name: str, amount: int = 1, pattern: str | None = None) -> None:
+        """Increment the registry counter *name*, labelled by *pattern* if given.
+
+        The handle is resolved once and kept, sparing the registry's
+        label-key lookup on every sentence, clause and match.  It is
+        resolved on the first increment, as before, so the registry
+        holds the same series it would without the handle table.
+        """
+        key = name if pattern is None else (name, pattern)
+        handle = self._counters.get(key)
+        if handle is None:
+            labels = {} if pattern is None else {"pattern": pattern}
+            handle = self._counters[key] = self._obs.metrics.counter(name, **labels)
+        handle.inc(amount)
+
     def _parse(self, tagged: TaggedSentence) -> SentenceParse:
         """Parse through the bounded memo, mirroring hit/miss metrics."""
         parse, from_cache = self._parse_memo.parse_with_status(tagged)
-        self._obs.metrics.counter(
+        self._count(
             "analyzer.parse_memo_hits" if from_cache else "analyzer.parse_memo_misses"
-        ).inc()
+        )
         return parse
 
     def publish_memo_metrics(self, splitter: SentenceSplitter | None = None) -> None:
@@ -165,19 +183,19 @@ class SentimentAnalyzer:
 
     def analyze_sentence(self, tagged: TaggedSentence) -> list[ClauseAssignment]:
         """All polarity assignments the sentence's clauses yield."""
-        metrics = self._obs.metrics
-        metrics.counter("analyzer.sentences").inc()
+        count = self._count
+        count("analyzer.sentences")
         if tagged.tokens[-1].text == "?":
             # Questions ask about sentiment; they do not assert it.
-            metrics.counter("analyzer.questions_skipped").inc()
+            count("analyzer.questions_skipped")
             return []
         parse = self._parse(tagged)
         assignments: list[ClauseAssignment] = []
         for clause in parse.clauses:
-            metrics.counter("analyzer.clauses").inc()
+            count("analyzer.clauses")
             if clause.hypothetical:
                 # "If the zoom were better ..." asserts nothing.
-                metrics.counter("analyzer.hypothetical_skipped").inc()
+                count("analyzer.hypothetical_skipped")
                 continue
             assignment = self._analyze_clause(clause)
             if assignment is not None:
@@ -187,7 +205,7 @@ class SentimentAnalyzer:
                     assignments.append(contrast)
         if not self._use_patterns:
             assignments = self._lexicon_only_assignments(tagged)
-        metrics.counter("analyzer.assignments").inc(len(assignments))
+        count("analyzer.assignments", len(assignments))
         return assignments
 
     def judge_spots(self, tagged: TaggedSentence, spots: list[Spot]) -> list[SentimentJudgment]:
@@ -309,8 +327,6 @@ class SentimentAnalyzer:
         return None
 
     def _candidate_predicates(self, clause: Clause) -> list[tuple[str, int]]:
-        from ..nlp.lemmatizer import lemmatize
-
         verbs = [t for t in clause.predicate.tokens if t.tag in penn.VERB_TAGS]
         candidates: list[tuple[str, int]] = [(clause.predicate_lemma, len(verbs) - 1)]
         for index in range(len(verbs) - 2, -1, -1):
@@ -338,13 +354,12 @@ class SentimentAnalyzer:
             flip = negated and not phrase_negated and self._handle_negation
             if flip:
                 polarity = polarity.invert()
-                self._obs.metrics.counter("analyzer.negations_applied").inc()
-            self._obs.metrics.counter(
-                "analyzer.pattern_matches", pattern=pattern.format()
-            ).inc()
+                self._count("analyzer.negations_applied")
+            pattern_text = pattern.format()
+            self._count("analyzer.pattern_matches", pattern=pattern_text)
             provenance = Provenance(
                 predicate=lemma,
-                pattern=pattern.format(),
+                pattern=pattern_text,
                 source_role=source_role,
                 target_role=pattern.target.role,
                 sentiment_words=words,
@@ -428,8 +443,6 @@ class SentimentAnalyzer:
         verbs = [t for t in clause.predicate.tokens if t.tag in penn.VERB_TAGS]
         if verb_index <= 0:
             return False
-        from ..nlp.lemmatizer import lemmatize
-
         return any(
             lemmatize(v.text, v.tag) in NEGATION_VERBS for v in verbs[:verb_index]
         )

@@ -113,6 +113,18 @@ _IRREGULAR_NOUNS = {
     "species": "species",
 }
 
+#: Irregular comparative/superlative -> positive form.
+_IRREGULAR_GRADED = {
+    "better": "good",
+    "best": "good",
+    "worse": "bad",
+    "worst": "bad",
+    "more": "much",
+    "most": "much",
+    "less": "little",
+    "least": "little",
+}
+
 #: Words ending in "s" that are singular, not plurals.
 _S_FINAL_SINGULARS = frozenset(
     "always perhaps lens gas bus plus news analysis basis os is this "
@@ -132,6 +144,10 @@ class Lemmatizer:
 
     def __init__(self, extra_verb_bases: set[str] | frozenset[str] | None = None):
         self._extra_bases = frozenset(extra_verb_bases or ())
+        # Stems the suffix-stripping repair may land on.
+        self._repair_bases = (
+            lexicon_pos.REGULAR_VERB_BASES | set(lexicon_pos.VERB_FORMS) | self._extra_bases
+        )
 
     def lemmatize(self, word: str, tag: str) -> str:
         """Return the lemma of *word* under Penn tag *tag* (lowercased)."""
@@ -164,7 +180,7 @@ class Lemmatizer:
         return lower
 
     def _repair_stem(self, stem: str, suffix: str) -> str | None:
-        bases = lexicon_pos.REGULAR_VERB_BASES | set(lexicon_pos.VERB_FORMS) | self._extra_bases
+        bases = self._repair_bases
         candidates = [stem]
         if len(stem) >= 2 and stem[-1] == stem[-2] and stem[-1] not in "aeiouls":
             candidates.append(stem[:-1])  # stopped -> stop
@@ -205,9 +221,8 @@ class Lemmatizer:
     # -- gradable adjectives / adverbs ---------------------------------------
 
     def _graded_lemma(self, lower: str) -> str:
-        irregular = {"better": "good", "best": "good", "worse": "bad", "worst": "bad", "more": "much", "most": "much", "less": "little", "least": "little"}
-        if lower in irregular:
-            return irregular[lower]
+        if lower in _IRREGULAR_GRADED:
+            return _IRREGULAR_GRADED[lower]
         for suffix in ("est", "er"):
             if lower.endswith(suffix) and len(lower) > len(suffix) + 2:
                 stem = lower[: -len(suffix)]

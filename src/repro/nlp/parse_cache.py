@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .parser import Clause, PrepPhrase, SentenceParse, ShallowParser
-from .tokens import Chunk, TaggedSentence
+from .tokens import Chunk, TaggedSentence, TaggedToken
 
 #: Signature of one tagged sentence: (text, tag, start − sentence start)
 #: per token.  Token ``end`` is implied by ``start + len(text)``.
@@ -38,8 +38,9 @@ Signature = tuple[tuple[str, str, int], ...]
 
 def sentence_signature(tagged: TaggedSentence) -> Signature:
     """Offset-normalised identity of a tagged sentence."""
-    base = tagged.tokens[0].start
-    return tuple((t.text, t.tag, t.start - base) for t in tagged.tokens)
+    tokens = tagged.tokens
+    base = tokens[0].token.start
+    return tuple([(t.token.text, t.tag, t.token.start - base) for t in tokens])
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,8 @@ class _ChunkSkeleton:
     label: str
     indices: tuple[int, ...]
 
-    def materialize(self, tagged: TaggedSentence) -> Chunk:
-        tokens = tagged.tokens
-        return Chunk(self.label, tuple(tokens[i] for i in self.indices))
+    def materialize(self, tokens: list[TaggedToken]) -> Chunk:
+        return Chunk(self.label, tuple([tokens[i] for i in self.indices]))
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,25 @@ class _ClauseSkeleton:
     negated: bool
     hypothetical: bool
 
-    def materialize(self, tagged: TaggedSentence) -> Clause:
+    def materialize(self, tokens: list[TaggedToken]) -> Clause:
+        subject = self.subject
+        complement = self.complement
         return Clause(
-            predicate=self.predicate.materialize(tagged),
-            predicate_lemma=self.predicate_lemma,
-            subject=self.subject.materialize(tagged) if self.subject else None,
-            objects=[o.materialize(tagged) for o in self.objects],
-            complement=self.complement.materialize(tagged) if self.complement else None,
-            prep_phrases=[
-                PrepPhrase(prep, np.materialize(tagged))
-                for prep, np in self.prep_phrases
-            ],
-            negated=self.negated,
-            hypothetical=self.hypothetical,
+            self.predicate.materialize(tokens),
+            self.predicate_lemma,
+            subject.materialize(tokens) if subject is not None else None,
+            [o.materialize(tokens) for o in self.objects],
+            complement.materialize(tokens) if complement is not None else None,
+            [PrepPhrase(prep, np.materialize(tokens)) for prep, np in self.prep_phrases],
+            self.negated,
+            self.hypothetical,
         )
 
 
 def _chunk_skeleton(chunk: Chunk, index_by_start: dict[int, int]) -> _ChunkSkeleton:
     return _ChunkSkeleton(
         label=chunk.label,
-        indices=tuple(index_by_start[t.start] for t in chunk.tokens),
+        indices=tuple([index_by_start[t.start] for t in chunk.tokens]),
     )
 
 
@@ -97,15 +96,17 @@ def _clause_skeleton(clause: Clause, index_by_start: dict[int, int]) -> _ClauseS
         subject=(
             _chunk_skeleton(clause.subject, index_by_start) if clause.subject else None
         ),
-        objects=tuple(_chunk_skeleton(o, index_by_start) for o in clause.objects),
+        objects=tuple([_chunk_skeleton(o, index_by_start) for o in clause.objects]),
         complement=(
             _chunk_skeleton(clause.complement, index_by_start)
             if clause.complement
             else None
         ),
         prep_phrases=tuple(
-            (pp.preposition, _chunk_skeleton(pp.noun_phrase, index_by_start))
-            for pp in clause.prep_phrases
+            [
+                (pp.preposition, _chunk_skeleton(pp.noun_phrase, index_by_start))
+                for pp in clause.prep_phrases
+            ]
         ),
         negated=clause.negated,
         hypothetical=clause.hypothetical,
@@ -161,7 +162,8 @@ class ParseMemo:
         if skeletons is not None:
             self.hits += 1
             self._cache.move_to_end(key)
-            clauses = [s.materialize(tagged) for s in skeletons]
+            tokens = tagged.tokens
+            clauses = [s.materialize(tokens) for s in skeletons]
             # Coordinated-subject inheritance is part of the parse and is
             # already baked into each skeleton's subject indices.
             return SentenceParse(tagged, clauses), True
@@ -169,7 +171,7 @@ class ParseMemo:
         parse = self._parser.parse(tagged)
         index_by_start = {t.start: i for i, t in enumerate(tagged.tokens)}
         self._cache[key] = tuple(
-            _clause_skeleton(clause, index_by_start) for clause in parse.clauses
+            [_clause_skeleton(clause, index_by_start) for clause in parse.clauses]
         )
         if len(self._cache) > self._maxsize:
             self._cache.popitem(last=False)

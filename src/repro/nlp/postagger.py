@@ -84,9 +84,20 @@ _NOUN_SUFFIXES = (
 
 _AUXILIARIES = frozenset({"have", "has", "had", "having", "be", "been", "being", "is", "are", "was", "were", "am", "'ve", "'s"})
 
+#: Tag sets the contextual rules test per token.
+_FINITE_OR_MODAL = penn.FINITE_VERB_TAGS | {"MD"}
+_NOMINAL_OR_ADJECTIVE = penn.NOUN_TAGS | penn.ADJECTIVE_TAGS
+_NOMINAL_OR_PRONOUN = penn.NOUN_TAGS | {"PRP"}
+_DO_FORMS = frozenset({"do", "does", "did", "n't", "not"})
+
 
 class PosTagger:
     """Deterministic POS tagger over the Penn Treebank tagset.
+
+    The lexical tag of a word depends only on its text and on whether it
+    opens the sentence, so each instance keeps a table from
+    ``(text, position == 0)`` to that tag.  The table is per instance
+    because ``extra_lexicon`` differs between analyzers.
 
     Parameters
     ----------
@@ -103,6 +114,9 @@ class PosTagger:
         the differential harness runs the reference configuration that
         way.
     """
+
+    #: Lexical-tag table bound; the table is cleared wholesale when it fills.
+    _LEXICAL_TABLE_MAX = 16384
 
     def __init__(self, extra_lexicon: dict[str, str] | None = None, memo_size: int = 256):
         self._closed = lexicon_pos.closed_class_lexicon()
@@ -132,6 +146,7 @@ class PosTagger:
         self._verb_bases.update(w for w, t in self._open.items() if t == "VB")
         self._memo_size = memo_size
         self._tag_memo: OrderedDict[tuple[str, ...], tuple[str, ...]] = OrderedDict()
+        self._lexical_tags: dict[tuple[str, bool], str] = {}
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
@@ -166,7 +181,7 @@ class PosTagger:
         """
         if self._memo_size <= 0:
             return self._compute_tags(tokens)
-        key = tuple(t.text for t in tokens)
+        key = tuple([t.text for t in tokens])
         tags = self._tag_memo.get(key)
         if tags is not None:
             self.memo_hits += 1
@@ -181,7 +196,17 @@ class PosTagger:
         return tags
 
     def _compute_tags(self, tokens: list[Token]) -> tuple[str, ...]:
-        tags = [self._lexical_tag(tok, i) for i, tok in enumerate(tokens)]
+        table = self._lexical_tags
+        tags: list[str] = []
+        for i, tok in enumerate(tokens):
+            key = (tok.text, i == 0)
+            tag = table.get(key)
+            if tag is None:
+                tag = self._lexical_tag(tok, i)
+                if len(table) >= self._LEXICAL_TABLE_MAX:
+                    table.clear()
+                table[key] = tag
+            tags.append(tag)
         return tuple(self._apply_context_rules(tokens, tags))
 
     def tag_tokens(self, tokens: list[Token]) -> list[TaggedToken]:
@@ -321,7 +346,7 @@ class PosTagger:
                 and prev_tag in penn.COMMON_NOUN_TAGS
                 and i + 1 < n
                 and (
-                    tags[i + 1] in penn.FINITE_VERB_TAGS | {"MD"}
+                    tags[i + 1] in _FINITE_OR_MODAL
                     or (
                         tokens[i + 1].lower.endswith("ed")
                         and self._verb_inflection(tokens[i + 1].lower) is not None
@@ -357,7 +382,7 @@ class PosTagger:
                 tags[i] = "VBN"
 
             # "her" before a nominal is possessive.
-            if lower == "her" and next_tag in penn.NOUN_TAGS | penn.ADJECTIVE_TAGS:
+            if lower == "her" and next_tag in _NOMINAL_OR_ADJECTIVE:
                 tags[i] = "PRP$"
 
             # A lexicon adjective that is also an "-ed" verb inflection is
@@ -369,7 +394,7 @@ class PosTagger:
                 and lower.endswith("ed")
                 and self._verb_inflection(lower) is not None
             ):
-                if prev_tag in penn.NOUN_TAGS | {"PRP"}:
+                if prev_tag in _NOMINAL_OR_PRONOUN:
                     tags[i] = "VBD"
                 elif (
                     prev_tag == "JJ"
@@ -386,7 +411,7 @@ class PosTagger:
             if (
                 tags[i] == "JJ"
                 and prev_tag in {"DT", "PRP$"}
-                and next_tag in penn.FINITE_VERB_TAGS | {"MD"}
+                and next_tag in _FINITE_OR_MODAL
             ):
                 tags[i] = "NN"
 
@@ -394,9 +419,8 @@ class PosTagger:
             # negator, modal, "to" or a do-form it is the verb ("I like it",
             # "does n't like", "would like", "to like").
             if tags[i] == "IN" and lower == "like":
-                do_forms = {"do", "does", "did", "n't", "not"}
-                if prev_tag in {"PRP", "NNP", "NNPS", "MD", "TO", "RB", "NNS"} or prev_lower in do_forms:
-                    tags[i] = "VB" if prev_tag in {"MD", "TO", "RB"} or prev_lower in do_forms else "VBP"
+                if prev_tag in {"PRP", "NNP", "NNPS", "MD", "TO", "RB", "NNS"} or prev_lower in _DO_FORMS:
+                    tags[i] = "VB" if prev_tag in {"MD", "TO", "RB"} or prev_lower in _DO_FORMS else "VBP"
 
             # "that" introducing a clause after a verb is IN, not DT.
             if lower == "that" and prev_tag in penn.VERB_TAGS and next_tag in {"DT", "PRP", "NNP", "EX"}:

@@ -96,18 +96,15 @@ class SentenceSplitter:
     # -- internals ----------------------------------------------------------
 
     def _ends_sentence(self, tokens: list[Token], i: int) -> bool:
-        token = tokens[i]
-        if token.text in _TERMINATORS:
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and (nxt.text[0].islower() or nxt.text[0].isdigit()):
-                # "etc. and so on" / enumerations do not end the sentence.
-                return False
-            return True
-        # Abbreviation-final tokens like "Inc." end a sentence only when
-        # followed by a capitalised token that looks like a fresh start.
-        if token.text.endswith(".") and self._tokenizer.is_abbreviation(token.text):
+        # Only a bare terminator ends a sentence: the tokenizer keeps an
+        # abbreviation's period attached ("Inc."), so those never do.
+        if tokens[i].text not in _TERMINATORS:
             return False
-        return False
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        if nxt is not None and (nxt.text[0].islower() or nxt.text[0].isdigit()):
+            # "etc. and so on" / enumerations do not end the sentence.
+            return False
+        return True
 
 
 _DEFAULT = SentenceSplitter()

@@ -81,6 +81,12 @@ _WORD_RE = re.compile(
 class Tokenizer:
     """Deterministic rule-based tokenizer.
 
+    How a regex match splits into tokens depends only on the matched
+    string and the abbreviation set, so each instance keeps a table from
+    match to its ``(piece, offset)`` split, relative to the match start.
+    Prose repeats a small vocabulary, so almost every match is split
+    once.
+
     Parameters
     ----------
     extra_abbreviations:
@@ -88,23 +94,33 @@ class Tokenizer:
         should keep their trailing period.
     """
 
+    #: Split-table bound; the table is cleared wholesale when it fills.
+    _SPLIT_TABLE_MAX = 16384
+
     def __init__(self, extra_abbreviations: frozenset[str] | set[str] | None = None):
         self._abbreviations = ABBREVIATIONS | frozenset(extra_abbreviations or ())
+        self._splits: dict[str, tuple[tuple[str, int], ...]] = {}
 
     # -- public API ---------------------------------------------------------
 
     def tokenize(self, text: str) -> list[Token]:
         """Tokenize *text*, returning offset-faithful tokens in order."""
         tokens: list[Token] = []
+        append = tokens.append
+        splits = self._splits
         for match in _WORD_RE.finditer(text):
-            raw = match.group(0)
+            raw = match.group()
+            pieces = splits.get(raw)
+            if pieces is None:
+                pieces = tuple((t.text, t.start) for t in self._split_raw(raw, 0))
+                if len(splits) >= self._SPLIT_TABLE_MAX:
+                    splits.clear()
+                splits[raw] = pieces
             start = match.start()
-            tokens.extend(self._split_raw(raw, start))
+            for piece, offset in pieces:
+                begin = start + offset
+                append(Token(piece, begin, begin + len(piece)))
         return tokens
-
-    def is_abbreviation(self, word: str) -> bool:
-        """True when *word* (any case) is a known period-final abbreviation."""
-        return word.lower() in self._abbreviations
 
     # -- internals ----------------------------------------------------------
 

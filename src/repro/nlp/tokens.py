@@ -39,27 +39,29 @@ class Span:
         return document[self.start : self.end]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
-    """A single token with its surface form and source offsets."""
+    """A single token with its surface form and source offsets.
+
+    ``lower`` is derived from ``text`` once, at construction: the tagger,
+    parser and analyzer read it many times per token.
+    """
 
     text: str
     start: int
     end: int
+    lower: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.end - self.start != len(self.text):
             raise ValueError(
                 f"token text {self.text!r} does not fit span [{self.start}, {self.end})"
             )
+        object.__setattr__(self, "lower", self.text.lower())
 
     @property
     def span(self) -> Span:
         return Span(self.start, self.end)
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
 
     @property
     def is_capitalized(self) -> bool:
@@ -71,7 +73,7 @@ class Token:
         return self.text.isalpha()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedToken:
     """A token paired with its Penn Treebank part-of-speech tag."""
 
@@ -178,24 +180,24 @@ class TaggedSentence:
         return iter(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     """A contiguous phrase chunk (e.g. a base noun phrase or verb group).
 
     ``label`` is a phrase category such as ``NP`` or ``VG``; ``tokens`` are
-    the tagged tokens covered by the chunk, in order.
+    the tagged tokens covered by the chunk, in order.  ``span`` is derived
+    from the first and last token once, at construction.
     """
 
     label: str
     tokens: tuple[TaggedToken, ...]
+    span: Span = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
             raise ValueError("a chunk must cover at least one token")
-
-    @property
-    def span(self) -> Span:
-        return Span(self.tokens[0].start, self.tokens[-1].end)
+        tokens = self.tokens
+        object.__setattr__(self, "span", Span(tokens[0].start, tokens[-1].end))
 
     @property
     def text(self) -> str:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.analyzer import SentimentAnalyzer
 from repro.core.model import Polarity, Subject
+from repro.obs import Obs
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +215,48 @@ class TestNounShadowedPredicates:
         )
         tags = {t.text: t.tag for t in tagged.tokens}
         assert tags["crash"].startswith("NN")
+
+
+class TestCounterSeries:
+    """The analyzer keeps its counter handles, bound on first increment.
+
+    A series appears in the registry only once the analyzer has counted
+    into it, and every increment lands in the registry's own series.
+    """
+
+    @staticmethod
+    def analyzer_series(obs):
+        return {k: v for k, v in obs.metrics.snapshot().items() if k.startswith("analyzer.")}
+
+    def test_series_appear_on_first_increment(self):
+        obs = Obs.enabled()
+        analyzer = SentimentAnalyzer(obs=obs)
+        analyzer.analyze_text("Is the flash good?", [Subject("flash")])
+        assert self.analyzer_series(obs) == {
+            "analyzer.questions_skipped": 1.0,
+            "analyzer.sentences": 1.0,
+        }
+        analyzer.analyze_text(
+            "The flash fails to impress. If the zoom were better, I would buy it.",
+            [Subject("flash"), Subject("zoom")],
+        )
+        analyzer.analyze_text("The flash fails to impress.", [Subject("flash")])
+        assert self.analyzer_series(obs) == {
+            "analyzer.assignments": 2.0,
+            "analyzer.clauses": 4.0,
+            "analyzer.hypothetical_skipped": 1.0,
+            "analyzer.negations_applied": 2.0,
+            "analyzer.parse_memo_hits": 1.0,
+            "analyzer.parse_memo_misses": 2.0,
+            "analyzer.pattern_matches{pattern=impress + SP}": 2.0,
+            "analyzer.questions_skipped": 1.0,
+            "analyzer.sentences": 4.0,
+        }
+
+    def test_analyzers_sharing_a_registry_share_series(self):
+        obs = Obs.enabled()
+        for _ in range(2):
+            SentimentAnalyzer(obs=obs).analyze_text("The flash fails to impress.", [Subject("flash")])
+        series = self.analyzer_series(obs)
+        assert series["analyzer.sentences"] == 2.0
+        assert series["analyzer.pattern_matches{pattern=impress + SP}"] == 2.0

@@ -1,6 +1,6 @@
 """Golden-corpus regression gate for the hot path (tier-1).
 
-Two seeded corpora have their full mining output — spots, polarities,
+Three seeded corpora have their full mining output — spots, polarities,
 provenance, and audit decisions — frozen under ``tests/fixtures/golden/``.
 Re-mining must reproduce the fixtures byte-for-byte on *both* the
 unbatched and the batched optimized paths, and on the naive reference
@@ -72,3 +72,26 @@ class TestGoldenMusicModeB:
         miner = SentimentMiner(analyzer=reference_analyzer(obs=obs), obs=obs)
         report = golden.mining_report(miner.mine_open_corpus(golden.music_documents()))
         assert report == golden.load_fixture("music_modeB.json")
+
+
+class TestGoldenWebModeA:
+    def test_unbatched_matches_fixture(self):
+        report = golden.mining_report(golden.mine_web(batched=False))
+        assert report == golden.load_fixture("web_modeA.json")
+
+    def test_batched_matches_fixture(self):
+        report = golden.mining_report(golden.mine_web(batched=True))
+        assert report == golden.load_fixture("web_modeA.json")
+
+    def test_reference_path_matches_fixture(self):
+        obs = Obs.enabled()
+        subjects = golden.web_subjects()
+        miner = SentimentMiner(
+            subjects=subjects,
+            analyzer=reference_analyzer(obs=obs),
+            disambiguator=Disambiguator(golden.web_topic_terms()),
+            obs=obs,
+            spotter=ReferenceSubjectSpotter(subjects),
+        )
+        report = golden.mining_report(miner.mine_corpus(golden.web_documents()))
+        assert report == golden.load_fixture("web_modeA.json")

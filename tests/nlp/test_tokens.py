@@ -1,5 +1,8 @@
 """Unit tests for the span/token data model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.nlp.tokens import Chunk, Sentence, Span, TaggedSentence, TaggedToken, Token, cover_span, tokens_text
@@ -116,6 +119,59 @@ class TestChunk:
     def test_span(self):
         c = Chunk("NP", (ttok("battery", "NN", 4), ttok("life", "NN", 12)))
         assert c.span == Span(4, 16)
+
+
+class TestSlottedTokens:
+    """Token, TaggedToken and Chunk are slotted and carry derived fields.
+
+    ``Token.lower`` and ``Chunk.span`` are computed at construction; they
+    must stay out of equality, hashing and repr, and survive copying.
+    """
+
+    def test_no_instance_dict(self):
+        t = tok("Camera", 2)
+        for value in (t, TaggedToken(t, "NN"), Chunk("NP", (TaggedToken(t, "NN"),))):
+            assert not hasattr(value, "__dict__")
+
+    def test_frozen(self):
+        t = tok("Camera", 2)
+        with pytest.raises(AttributeError):
+            t.lower = "other"
+        with pytest.raises(AttributeError):
+            Chunk("NP", (TaggedToken(t, "NN"),)).span = Span(0, 1)
+
+    @pytest.mark.parametrize("start,end", [(3, 2), (4, 4), (2, 6)])
+    def test_offsets_still_validated(self, start, end):
+        with pytest.raises(ValueError):
+            Token("abc", start, end)
+
+    def test_eq_and_hash_ignore_lower(self):
+        a, b = tok("Camera", 2), tok("Camera", 2)
+        object.__setattr__(b, "lower", "something else")
+        assert a == b and hash(a) == hash(b)
+        assert "lower" not in repr(a)
+        assert tok("Camera", 2) != tok("camera", 2)
+
+    def test_eq_and_hash_ignore_span(self):
+        tokens = (ttok("battery", "NN", 4), ttok("life", "NN", 12))
+        a, b = Chunk("NP", tokens), Chunk("NP", tokens)
+        object.__setattr__(b, "span", Span(0, 1))
+        assert a == b and hash(a) == hash(b)
+        assert "span" not in repr(a)
+
+    def test_tagged_token_equality(self):
+        assert ttok("Flash", "NN", 3) == ttok("Flash", "NN", 3)
+        assert ttok("Flash", "NN", 3) != ttok("Flash", "VB", 3)
+        assert hash(ttok("Flash", "NN", 3)) == hash(ttok("Flash", "NN", 3))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+    def test_copy_and_pickle_round_trip(self, clone):
+        t = tok("Zoom", 7)
+        chunk = Chunk("NP", (ttok("the", "DT", 3), TaggedToken(t, "NN")))
+        t2, tagged2, chunk2 = clone(t), clone(TaggedToken(t, "NN")), clone(chunk)
+        assert t2 == t and t2.lower == "zoom"
+        assert tagged2 == TaggedToken(t, "NN") and tagged2.lower == "zoom"
+        assert chunk2 == chunk and chunk2.span == Span(3, 11)
 
 
 class TestHelpers:

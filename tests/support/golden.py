@@ -1,6 +1,6 @@
 """Golden-corpus serialization for the hot-path differential harness.
 
-Two seeded corpora have their *entire* mining output — every spot,
+Three seeded corpora have their *entire* mining output — every spot,
 polarity, provenance field, and audit decision — frozen as JSON under
 ``tests/fixtures/golden/``.  The tier-1 regression test re-mines the
 same corpora (on both the batched optimized path and the unbatched
@@ -21,7 +21,14 @@ from repro.core import Subject
 from repro.core.disambiguation import Disambiguator, TopicTermSet
 from repro.core.miner import MiningResult, SentimentMiner
 from repro.core.model import SentimentJudgment
-from repro.corpora import DIGITAL_CAMERA, MUSIC, ReviewGenerator
+from repro.corpora import (
+    DIGITAL_CAMERA,
+    MUSIC,
+    PETROLEUM,
+    PHARMACEUTICAL,
+    ReviewGenerator,
+    WebPageGenerator,
+)
 from repro.obs import Obs
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures", "golden")
@@ -30,8 +37,10 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures", "golden"
 #: every sentence-template class the generators emit.
 CAMERA_DOCS = 6
 MUSIC_DOCS = 12
+WEB_PAGES = 6
 CAMERA_SEED = 7
 MUSIC_SEED = 11
+WEB_SEED = 13
 
 
 def judgment_record(judgment: SentimentJudgment) -> dict:
@@ -80,7 +89,7 @@ def mining_report(result: MiningResult) -> dict:
     }
 
 
-# -- the two golden corpora -----------------------------------------------------
+# -- the golden corpora ---------------------------------------------------------
 
 
 def camera_documents() -> list[tuple[str, str]]:
@@ -124,9 +133,72 @@ def mine_music_open(batched: bool = False) -> MiningResult:
     return miner.mine_open_corpus(music_documents())
 
 
+#: Hand-written wire copy for the web corpus.  The page generator never
+#: emits abbreviations, clitics or typographic punctuation; these
+#: sentences put ``Inc.``/``U.S.``/``Dr.``, ``n't``/``'s``/``rock'n'roll``,
+#: curly quotes, dashes and capitalised unknown words (sentence-initial
+#: and mid-sentence) next to the corpus's own subjects.
+WIRE_TEMPLATES = (
+    "{a} Inc. said the U.S. {f} didn't impress analysts. "
+    "Dr. Okafor of {b} Ltd. praised the {g} \u2014 a rare win.",
+    "\u201cThe {f} is excellent,\u201d said Mr. Quill, who doesn't trust {b}. "
+    "Zentrix analysts criticized {a}'s {g}; the rock'n'roll era is over.",
+    "Investors haven't forgiven {a} Corp. for the {f}\u2026 "
+    "The {g} at {b} isn't reliable, e.g. in the U.K. plants. "
+    "Quorvane Holdings loved the {f}!",
+    # The same unknown word opens one sentence and sits mid-sentence in
+    # the next: the tagger reads it as a verb there and a name here.
+    "Zorbled analysts praised the {g}. Investors at Zorbled criticized {b}.",
+)
+
+
+def web_documents() -> list[tuple[str, str]]:
+    """Petroleum and pharmaceutical web pages plus a few wire stories."""
+    documents: list[tuple[str, str]] = []
+    for vocab, offset in ((PETROLEUM, 0), (PHARMACEUTICAL, 1)):
+        generator = WebPageGenerator(vocab, seed=WEB_SEED + offset)
+        documents.extend((p.doc_id, p.text) for p in generator.generate_pages(WEB_PAGES))
+        for i, template in enumerate(WIRE_TEMPLATES):
+            text = template.format(
+                a=vocab.products[i],
+                b=vocab.products[i + 3],
+                f=vocab.features[i],
+                g=vocab.features[i + 5],
+            )
+            documents.append((f"{vocab.name}:wire:{i:05d}", text))
+    return documents
+
+
+def web_subjects() -> list[Subject]:
+    names: list[str] = []
+    for vocab in (PETROLEUM, PHARMACEUTICAL):
+        for name in (*vocab.products, *vocab.features):
+            if name not in names:
+                names.append(name)
+    return [Subject(name) for name in names]
+
+
+def web_topic_terms() -> TopicTermSet:
+    return TopicTermSet.build(
+        on_topic=list(PETROLEUM.features) + list(PHARMACEUTICAL.features)
+    )
+
+
+def mine_web(batched: bool = False) -> MiningResult:
+    """Mode A with disambiguation over many subjects per page."""
+    miner = SentimentMiner(
+        subjects=web_subjects(),
+        disambiguator=Disambiguator(web_topic_terms()),
+        obs=Obs.enabled(),
+    )
+    documents = web_documents()
+    return miner.mine_batch(documents) if batched else miner.mine_corpus(documents)
+
+
 GOLDEN_RUNS = {
     "camera_modeA.json": lambda: mine_camera(batched=False),
     "music_modeB.json": lambda: mine_music_open(),
+    "web_modeA.json": lambda: mine_web(batched=False),
 }
 
 
