@@ -39,7 +39,6 @@ from ..core.model import Polarity
 from ..obs import Obs
 from ..obs.audit import AuditEntry
 from ..obs.context import ROOT
-from .entity import Entity
 from .indexer import InvertedIndex, SentimentEntry, SentimentIndex
 from .ingestion import DELTA_DELETE, DocumentDelta
 
@@ -79,14 +78,12 @@ class IndexSegment:
         segment_id: int,
         sentiment: SentimentIndex,
         inverted: InvertedIndex,
-        entities: tuple[Entity, ...],
         tombstones: frozenset[str],
         stats: SegmentStats,
     ):
         self.segment_id = segment_id
         self.sentiment = sentiment
         self.inverted = inverted
-        self.entities = entities
         self.tombstones = tombstones
         self.stats = stats
 
@@ -126,7 +123,7 @@ class DeltaIndexer:
         obs = self._obs
         sentiment = SentimentIndex()
         inverted = InvertedIndex()
-        live: dict[str, Entity] = {}
+        live: set[str] = set()
         tombstones: set[str] = set()
         deletes = 0
         judgments = 0
@@ -138,7 +135,7 @@ class DeltaIndexer:
                 if delta.kind == DELTA_DELETE:
                     deletes += 1
                     if delta.entity_id in live:
-                        del live[delta.entity_id]
+                        live.remove(delta.entity_id)
                         inverted.remove_entity(delta.entity_id)
                         judgments -= sentiment.remove_document(delta.entity_id)
                     continue
@@ -148,11 +145,9 @@ class DeltaIndexer:
                     inverted.remove_entity(delta.entity_id)
                     judgments -= sentiment.remove_document(delta.entity_id)
                 result = self._miner.mine_document(entity.content, entity.entity_id)
-                polar = result.polar_judgments()
-                sentiment.add_all(polar)
-                judgments += len(polar)
+                judgments += sentiment.add_all(result.polar_judgments())
                 inverted.add_entity(entity)
-                live[delta.entity_id] = entity
+                live.add(delta.entity_id)
                 obs.clock.advance(SEAL_COST_PER_DOC)
             span.set_attribute("documents", len(live))
             span.set_attribute("tombstones", len(tombstones))
@@ -160,7 +155,6 @@ class DeltaIndexer:
             segment_id=self._next_segment_id,
             sentiment=sentiment,
             inverted=inverted,
-            entities=tuple(live.values()),
             tombstones=frozenset(tombstones),
             stats=SegmentStats(
                 documents=len(live), deletes=deletes, judgments=judgments
@@ -181,10 +175,10 @@ class DeltaIndexer:
 class ShardSegment:
     """One shard's slice of a sealed segment, tagged with its version.
 
-    Version 0 is the mutable *base* segment every replica starts with —
-    the offline bulk-build path writes there.  Versions ≥ 1 are slices
-    of absorbed :class:`IndexSegment`\\ s and are immutable; replicas of
-    the same shard share the slice objects.
+    Version 0 is the mutable *base* segment the replicas of a shard
+    start with (one object, shared) — the offline bulk-build path writes
+    there.  Versions ≥ 1 are slices of absorbed :class:`IndexSegment`\\ s
+    and are immutable; replicas of the same shard share the slice objects.
 
     ``_digest_memo`` is :func:`~.serving.shards.segment_digest`'s cache:
     ``(content stamp, digest)`` from the last time it hashed this segment.

@@ -25,6 +25,8 @@ Since the incremental path landed, every replica holds a **segment
 log** (:class:`~repro.platform.segments.ShardSegment`): the mutable base
 at version 0 that the offline bulk-build writes into, plus an immutable
 slice of every absorbed :class:`~repro.platform.segments.IndexSegment`.
+Replicas of a shard share the base and slice objects, so each shard's
+content is built once whatever the replication factor.
 Reads go through :meth:`ShardReplica.view`, which pins a version and
 returns a :class:`~repro.platform.segments.ReplicaSnapshot` — the
 router pins once per request, so a query never sees a torn segment set
@@ -34,7 +36,7 @@ even while absorbs and compactions run mid-flight.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ...core.model import SentimentJudgment
@@ -55,10 +57,6 @@ def shard_of(key: str, num_shards: int) -> int:
     return int.from_bytes(digest[:4], "big") % num_shards
 
 
-def _base_log() -> list[ShardSegment]:
-    return [ShardSegment(version=0)]
-
-
 def segment_docs(segment: ShardSegment) -> int:
     """Transferable size of one segment: documents plus sentiment entries.
 
@@ -74,9 +72,11 @@ def segment_digest(segment: ShardSegment) -> str:
     Two segments with equal digests hold the same observable content —
     the digest covers the version, the sorted tombstones, the sorted
     document ids, and every sentiment entry in sorted-subject order.
-    It is *content*-based on purpose: distinct Python objects (a base
-    built twice, a replayed slice, a per-replica compaction merge) must
-    compare equal when they would answer every query identically.
+    It is *content*-based on purpose: distinct Python objects (the same
+    log built by two runs, a replayed slice) must compare equal when
+    they would answer every query identically.  Replicas that agree
+    share segment objects (one base per shard, one merge per distinct
+    prefix), so the memo below hashes each one once for all its holders.
 
     The digest is memoised on the segment against a content stamp: the
     version, the tombstone set, and the identity and ``mutations``
@@ -127,8 +127,10 @@ def _segment_hash(segment: ShardSegment) -> str:
 class ShardReplica:
     """One replica of one shard, pinned to a simulated node.
 
-    ``segments[0]`` is the mutable base (version 0) that bulk builds
-    write into; later entries are immutable absorbed slices.  The
+    ``segments[0]`` is the mutable base (version 0, or the latest
+    compaction merge) that bulk builds write into; later entries are
+    immutable absorbed slices.  Replicas of a shard share these segment
+    objects by reference wherever their logs agree.  The
     ``sentiment``/``inverted`` properties are read-only snapshots at the
     latest version — writers must go through :class:`ReplicatedIndex`.
     """
@@ -136,7 +138,7 @@ class ShardReplica:
     shard_id: int
     replica: int  # 0 = primary copy, 1.. = replicas
     node_id: int
-    segments: list[ShardSegment] = field(default_factory=_base_log)
+    segments: list[ShardSegment]
 
     @property
     def base(self) -> ShardSegment:
@@ -201,13 +203,17 @@ class ReplicatedIndex:
         self.replication = replication
         # replicas[shard_id] is primary-first; placement is successor
         # style: replica r of shard s lives on node (s + r) % num_nodes.
+        # Every replica of a shard starts on one shared base segment, so
+        # a bulk write lands once per shard (see :meth:`_bases`).
         self._replicas: dict[int, list[ShardReplica]] = {}
         for shard_id in range(num_shards):
+            base = ShardSegment(version=0)
             self._replicas[shard_id] = [
                 ShardReplica(
                     shard_id=shard_id,
                     replica=r,
                     node_id=(shard_id + r) % num_nodes,
+                    segments=[base],
                 )
                 for r in range(replication)
             ]
@@ -232,9 +238,11 @@ class ReplicatedIndex:
     def _bases(self, shard_id: int) -> list[ShardSegment]:
         """Each distinct base segment of a shard, once.
 
-        A recovery copy (:meth:`add_replica`, a full :meth:`sync_replica`)
-        shares its donor's base by reference; a bulk write must land in
-        that shared object once, not once per replica holding it.
+        Replicas share their base by reference: all of them start on one
+        version-0 segment, a compaction hands replicas with the same
+        prefix one merged segment, and a recovery copy (:meth:`add_replica`,
+        a full :meth:`sync_replica`) takes its donor's.  A bulk write must
+        land in each shared object once, not once per replica holding it.
         """
         return list({id(r.base): r.base for r in self._replicas[shard_id]}.values())
 
@@ -273,7 +281,9 @@ class ReplicatedIndex:
 
         Each shard gets one immutable :class:`ShardSegment` shared by
         all its replicas: sentiment entries routed by subject hash,
-        inverted documents by entity-id hash.  Every shard's slice
+        inverted documents by entity-id hash.  The inverted slices are
+        cut from the sealed segment's postings, so no document is
+        tokenized again.  Every shard's slice
         carries the segment's *full* tombstone set — a deleted
         document's sentiment entries may live in any subject shard, and
         surplus tombstones mask nothing that exists.
@@ -291,10 +301,13 @@ class ReplicatedIndex:
             target = slices[shard_of(subject, self.num_shards)].sentiment
             for entry in entries:
                 target.add_entry(entry)
-        for entity in segment.entities:
-            slices[shard_of(entity.entity_id, self.num_shards)].inverted.add_entity(
-                entity
-            )
+        doc_ids = segment.doc_ids
+        owned: list[set[str]] = [set() for _ in range(self.num_shards)]
+        for doc_id in doc_ids:
+            owned[shard_of(doc_id, self.num_shards)].add(doc_id)
+        for target, kept in zip(slices, owned):
+            if kept:
+                target.inverted.absorb(segment.inverted, skip=doc_ids - kept)
         for shard_id in range(self.num_shards):
             for replica in self._replicas[shard_id]:
                 if self.node_up(replica.node_id):
@@ -334,17 +347,23 @@ class ReplicatedIndex:
         )
 
     def compact(self) -> tuple[int, int]:
-        """Merge every replica's mergeable prefix into its base segment.
+        """Merge every live replica's mergeable prefix into its base segment.
 
         Only segments at or below :meth:`compaction_floor` are merged, so
         pinned snapshots keep reading exactly the set they pinned.
-        Returns ``(segments_merged, documents_rewritten)`` across all
-        replicas — the caller charges simulated cost from the latter.
+        Replicas of a shard whose prefixes are the same segment objects
+        share one merged segment, built once.  The returned
+        ``(segments_merged, documents_rewritten)`` still counts every
+        replica's rewrite — each node rewrites its own copy, and the
+        caller charges simulated cost from the latter.
         """
         floor = self.compaction_floor()
         merged_total = 0
         rewritten = 0
         for replicas in self._replicas.values():
+            # Prefix segment ids -> (prefix, merged); holding the prefix
+            # keeps its ids from being reused while the shard is walked.
+            merges: dict[tuple[int, ...], tuple[list[ShardSegment], ShardSegment]] = {}
             for replica in replicas:
                 if not self.node_up(replica.node_id):
                     # A down node cannot rewrite its own log; its
@@ -353,8 +372,11 @@ class ReplicatedIndex:
                 prefix = [s for s in replica.segments if s.version <= floor]
                 if len(prefix) < 2:
                     continue
-                merged = merge_segments(prefix)
-                rewritten += len(merged.inverted.doc_ids) + len(merged.sentiment)
+                key = tuple(id(s) for s in prefix)
+                if key not in merges:
+                    merges[key] = (prefix, merge_segments(prefix))
+                merged = merges[key][1]
+                rewritten += segment_docs(merged)
                 replica.segments[: len(prefix)] = [merged]
                 merged_total += len(prefix)
         return merged_total, rewritten

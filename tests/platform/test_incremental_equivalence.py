@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 
 from repro.core import SentimentMiner, Subject
 from repro.obs import Obs
-from repro.platform.entity import Entity
+from repro.platform.entity import Annotation, Entity
 from repro.platform.ingestion import (
     DELTA_ADD,
     DELTA_DELETE,
     DELTA_UPDATE,
     DocumentDelta,
 )
+from repro.platform.query import Concept, Near, Not, Range
 from repro.platform.serving import LoadProfile, ReplicatedIndex, build_scenario
 
 pytestmark = pytest.mark.incremental
@@ -41,7 +42,46 @@ TEMPLATES = (
 
 DOC_IDS = ("d0", "d1", "d2", "d3")
 
-QUERIES = ("nr70", "g3", "nr70 AND NOT awful", '"the pictures"', "pictures OR lens")
+QUERIES = (
+    "nr70",
+    "g3",
+    "nr70 AND NOT awful",
+    '"the pictures"',
+    "pictures OR lens",
+    Concept("spot"),
+    Concept("spot", "g3"),
+    Range("rank", 1.0, 3.0),
+    Near(48.86, 2.35, 50.0),
+    Not(Concept("geo")),
+)
+
+#: Per-template concept label and geo point (None: no geo annotation).
+ANNOTATIONS = (
+    ("nr70", (48.86, 2.35)),
+    ("nr70", None),
+    ("g3", (40.71, -74.01)),
+    ("g3", (48.85, 2.29)),
+    ("nr70", None),
+)
+
+
+def make_entity(doc_id, template_index):
+    """One document version: template text, a numeric rank and concepts.
+
+    Concept, metadata and location postings must survive sealing,
+    absorbing and compaction exactly as text postings do.
+    """
+    content = TEMPLATES[template_index]
+    entity = Entity(
+        entity_id=doc_id,
+        content=content,
+        metadata={"rank": template_index, "lang": "en"},
+    )
+    label, place = ANNOTATIONS[template_index]
+    entity.annotate(Annotation.make("spot", 4, 8, label))
+    if place is not None:
+        entity.annotate(Annotation.make("geo", 0, 3, "city", lat=place[0], lon=place[1]))
+    return entity
 
 
 def fresh_miner(obs=None):
@@ -72,12 +112,11 @@ def to_deltas(ops):
             live.discard(doc_id)
         else:
             kind = DELTA_UPDATE if doc_id in live else DELTA_ADD
-            content = TEMPLATES[template_index]
             deltas.append(
                 DocumentDelta(
                     kind=kind,
                     entity_id=doc_id,
-                    entity=Entity(entity_id=doc_id, content=content),
+                    entity=make_entity(doc_id, template_index),
                 )
             )
             live.add(doc_id)

@@ -176,6 +176,20 @@ class TestSentimentIndex:
         )
         assert n == 1
 
+    def test_add_all_counts_entries_added_to_a_populated_index(self):
+        idx = SentimentIndex()
+        idx.add_judgment(judgment("a", Polarity.POSITIVE))
+        batch = [
+            judgment("a", Polarity.NEGATIVE, doc_id="d2"),
+            judgment("b", Polarity.NEUTRAL, doc_id="d2"),
+            judgment("b", Polarity.POSITIVE, doc_id="d3"),
+            judgment("c", Polarity.NEUTRAL, doc_id="d3"),
+            judgment("a", Polarity.POSITIVE, doc_id="d4"),
+        ]
+        before = len(idx)
+        n = idx.add_all(iter(batch))  # a one-shot iterable is enough
+        assert n == len(idx) - before == 3
+
     def test_iteration(self):
         idx = SentimentIndex()
         idx.add_judgment(judgment("b", Polarity.POSITIVE))

@@ -28,8 +28,18 @@ from repro.platform.recovery import (
     TRANSFER_COST_PER_DOC,
     RecoveryManager,
 )
-from repro.platform.segments import CompactionPolicy, DeltaIndexer, LiveIndexer
-from repro.platform.serving import ReplicatedIndex
+from repro.platform import indexer as indexer_module
+from repro.platform.indexer import InvertedIndex, SentimentIndex
+from repro.platform.segments import (
+    COMPACT_COST_PER_DOC,
+    CompactionPolicy,
+    DeltaIndexer,
+    IndexSegment,
+    LiveIndexer,
+    SegmentStats,
+    merge_segments,
+)
+from repro.platform.serving import ReplicatedIndex, shards
 from repro.platform.serving.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -58,13 +68,13 @@ def add(doc_id, content):
     )
 
 
-def make_live(index, obs, wal=None):
+def make_live(index, obs, wal=None, max_segments=8):
     miner = SentimentMiner(subjects=[Subject("NR70"), Subject("G3")], obs=obs)
     return LiveIndexer(
         index,
         DeltaIndexer(miner, obs=obs),
         obs=obs,
-        policy=CompactionPolicy(max_segments=8),
+        policy=CompactionPolicy(max_segments=max_segments),
         wal=wal,
     )
 
@@ -351,6 +361,26 @@ class TestShardRecoverySurface:
         assert len(vectors) == 1
         assert vectors != {before}
 
+        # Compaction hands every replica with the same prefix one merged
+        # base; a bulk write after it must still land once.
+        sentiment = SentimentIndex()
+        sentiment.add_judgment(positive("d3"))
+        index.absorb(
+            IndexSegment(
+                segment_id=0,
+                sentiment=sentiment,
+                inverted=InvertedIndex(),
+                tombstones=frozenset({"d3"}),
+                stats=SegmentStats(documents=0, deletes=0, judgments=1),
+            )
+        )
+        index.compact()
+        (merged,) = {id(r.base): r.base for r in index.replicas_for(shard_id)}.values()
+        assert merged.version == 1
+        index.add_judgment(positive("d4"))
+        for replica in index.replicas_for(shard_id):
+            assert replica.sentiment.counts("camera")[Polarity.POSITIVE] == 4
+
     def test_drop_replica_requires_presence(self):
         index, _, _ = build_index()
         shard_id = 0
@@ -407,6 +437,155 @@ class TestShardRecoverySurface:
         shipped = index.sync_replica(stale, donor)
         assert shipped == sum(segment_docs(s) for s in donor.segments)
         assert stale.version_vector() == donor.version_vector()
+
+
+# ---------------------------------------------------------------------------
+# shared shard work: one base, one merge per prefix, one tokenization
+# ---------------------------------------------------------------------------
+
+
+def per_replica_compaction(index):
+    """What :meth:`ReplicatedIndex.compact` must report: every live
+    replica merging its own prefix, whether or not the merge is shared."""
+    floor = index.compaction_floor()
+    merged = rewritten = 0
+    for shard_id in index.shard_ids():
+        for replica in index.replicas_for(shard_id):
+            prefix = [s for s in replica.segments if s.version <= floor]
+            if index.node_up(replica.node_id) and len(prefix) >= 2:
+                merged += len(prefix)
+                rewritten += segment_docs(merge_segments(prefix))
+    return merged, rewritten
+
+
+BATCHES = [
+    [add("d1", POSITIVE), add("d2", OTHER)],
+    [add("d3", NEGATIVE)],
+    [add("d1", OTHER), add("d4", POSITIVE)],
+    [add("d5", NEGATIVE), add("d2", POSITIVE)],
+    [add("d6", OTHER)],
+]
+
+
+class TestSharedShardWork:
+    def test_replicas_with_one_prefix_share_one_merge(self, monkeypatch):
+        obs = Obs.default()
+        index = ReplicatedIndex(4, 3, replication=2)
+        live = make_live(index, obs, max_segments=2)
+        merges = []
+        monkeypatch.setattr(
+            shards,
+            "merge_segments",
+            lambda prefix: merges.append(prefix) or merge_segments(prefix),
+        )
+        for batch in BATCHES:
+            live.apply_batch(batch)
+        runs = obs.metrics.counter("compaction.runs").value
+        assert runs > 0
+        assert len(merges) <= runs * index.num_shards  # not once per replica
+        for shard_id in index.shard_ids():
+            primary, peer = index.replicas_for(shard_id)
+            assert primary.base.version > 0
+            assert list(map(id, primary.segments)) == list(map(id, peer.segments))
+
+    def test_down_replica_keeps_its_log_and_heals(self):
+        index = ReplicatedIndex(4, 3, replication=2)
+        live = make_live(index, Obs.default(), max_segments=2)
+        live.apply_batch(BATCHES[0])
+        index.set_liveness(lambda node_id: node_id != 1)
+        stale = {r.shard_id: list(map(id, r.segments)) for r in index.replicas_on(1)}
+        for batch in BATCHES[1:]:
+            live.apply_batch(batch)
+        for replica in index.replicas_on(1):
+            assert list(map(id, replica.segments)) == stale[replica.shard_id]
+        index.set_liveness(None)
+        for replica in index.replicas_on(1):
+            donor = next(
+                r for r in index.replicas_for(replica.shard_id) if r is not replica
+            )
+            assert donor.base.version > 0  # compacted while node 1 was down
+            assert index.sync_replica(replica, donor) > 0
+            assert replica.version_vector() == donor.version_vector()
+            assert index.sync_replica(replica, donor) == 0
+
+    def test_unhealed_replica_merges_its_own_prefix(self):
+        # Node 1 misses three slices and a compaction, rejoins, and the
+        # next compaction runs before anti-entropy: both replicas then
+        # have two-segment prefixes, but only the peer's hold the data.
+        index = ReplicatedIndex(4, 3, replication=2)
+        live = make_live(index, Obs.default())
+        index.set_liveness(lambda node_id: node_id != 1)
+        for batch in BATCHES[:3]:
+            live.apply_batch(batch)
+        index.compact()
+        index.set_liveness(None)
+        live.apply_batch(BATCHES[3])
+        prefixes = {id(r): list(r.segments) for r in index.replicas_on(1)}
+        index.compact()
+        for replica in index.replicas_on(1):
+            donor = next(
+                r for r in index.replicas_for(replica.shard_id) if r is not replica
+            )
+            own = merge_segments(prefixes[id(replica)])
+            assert segment_digest(replica.base) == segment_digest(own)
+            assert replica.base is not donor.base
+            index.sync_replica(replica, donor)
+            assert replica.version_vector() == donor.version_vector()
+
+    def test_compact_reports_every_replica_rewrite(self):
+        obs = Obs.default()
+        index = ReplicatedIndex(4, 3, replication=3)
+        live = make_live(index, obs)
+        index.set_liveness(lambda node_id: node_id != 2)
+        for batch in BATCHES:
+            live.apply_batch(batch)
+        expected = per_replica_compaction(index)
+        assert expected[0] > 0
+        assert index.compact() == expected
+
+    def test_compaction_charge_matches_per_replica_rewrites(self, monkeypatch):
+        obs = Obs.default()
+        index = ReplicatedIndex(4, 3, replication=2)
+        live = make_live(index, obs, max_segments=2)
+        compact = index.compact
+        calls = []
+
+        def observed_compact():
+            calls.append((per_replica_compaction(index)[1], obs.clock.now))
+            return compact()
+
+        monkeypatch.setattr(index, "compact", observed_compact)
+        charged = 0
+        for batch in BATCHES:
+            calls.clear()
+            live.apply_batch(batch)
+            for rewritten, started in calls:
+                assert obs.clock.now - started == pytest.approx(
+                    COMPACT_COST_PER_DOC * rewritten
+                )
+                charged += rewritten
+        assert charged > 0
+        assert obs.metrics.counter("compaction.merged_docs").value == charged
+
+    def test_each_document_is_tokenized_once(self, monkeypatch):
+        tokenized = []
+        tokenizer = indexer_module._DEFAULT_TOKENIZER
+        tokenize = tokenizer.tokenize
+        monkeypatch.setattr(
+            tokenizer, "tokenize", lambda text: tokenized.append(text) or tokenize(text)
+        )
+        index = ReplicatedIndex(4, 3, replication=3)
+        entities = [
+            Entity(entity_id=f"b{i}", content=f"{text} ({i})")
+            for i, text in enumerate((POSITIVE, NEGATIVE, OTHER))
+        ]
+        index.add_entities(entities)
+        assert sorted(tokenized) == sorted(e.content for e in entities)
+
+        tokenized.clear()
+        batch = [add(f"n{i}", f"{text} [{i}]") for i, text in enumerate((OTHER, POSITIVE))]
+        make_live(index, Obs.default()).apply_batch(batch)
+        assert sorted(tokenized) == sorted(d.entity.content for d in batch)
 
 
 # ---------------------------------------------------------------------------

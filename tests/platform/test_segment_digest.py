@@ -210,7 +210,6 @@ def apply_replica_step(index, step):
                 segment_id=index.current_version,
                 sentiment=sentiment,
                 inverted=inverted,
-                entities=entities,
                 tombstones=frozenset(tombstones),
                 stats=SegmentStats(len(entities), 0, len(sentiment)),
             )

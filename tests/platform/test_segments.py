@@ -7,10 +7,13 @@ crawl→analyze→index→serve loop.  The cross-cutting equivalence property
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import SentimentMiner, Subject
 from repro.obs import Obs
-from repro.platform.entity import Entity
+from repro.platform.entity import Annotation, Entity
+from repro.platform.indexer import InvertedIndex
 from repro.platform.ingestion import (
     DELTA_ADD,
     DELTA_DELETE,
@@ -25,7 +28,17 @@ from repro.platform.segments import (
     ShardSegment,
     merge_segments,
 )
+from repro.platform.query import (
+    Concept,
+    Near,
+    Not,
+    Phrase,
+    Range,
+    Regex,
+    Term,
+)
 from repro.platform.serving import ReplicatedIndex
+from repro.platform.serving.shards import shard_of
 
 pytestmark = pytest.mark.incremental
 
@@ -75,8 +88,7 @@ class TestDeltaIndexer:
             [add("d1", POSITIVE), update("d1", NEGATIVE)]
         )
         assert segment.stats.documents == 1
-        (entity,) = segment.entities
-        assert entity.content == NEGATIVE
+        assert segment.doc_ids == {"d1"}
         assert segment.inverted.search("awful") == {"d1"}
         assert segment.inverted.search("excellent") == set()
 
@@ -215,6 +227,101 @@ class TestReplicatedIndexSegments:
         assert len(replica.segments) == 1
         snapshot = replica.view()
         assert snapshot.inverted.doc_ids == {"d1", "d2", "d3"}
+
+
+_WORDS = ("camera", "flash", "zoom", "battery", "lens")
+_PLACES = ((48.86, 2.35), (40.71, -74.01), (35.68, 139.69))
+
+
+@st.composite
+def annotated_entity(draw, doc_id):
+    """An entity with text, numeric (and ignored) metadata, and concepts."""
+    content = " ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=8)))
+    metadata = draw(
+        st.dictionaries(
+            st.sampled_from(("price", "rating", "lang", "flag")),
+            st.one_of(st.integers(0, 9), st.floats(0, 9), st.just("en"), st.booleans()),
+            max_size=3,
+        )
+    )
+    entity = Entity(entity_id=doc_id, content=content, metadata=metadata)
+    annotations = st.tuples(
+        st.sampled_from(("spot", "sentiment")),
+        st.sampled_from(("nr70", "g3", "+", "-")),
+        st.one_of(st.none(), st.sampled_from(_PLACES)),
+    )
+    for layer, label, place in draw(st.lists(annotations, max_size=3)):
+        geo = {} if place is None else {"lat": place[0], "lon": place[1]}
+        entity.annotate(Annotation.make(layer, 0, 0, label, **geo))
+    return entity
+
+
+@st.composite
+def annotated_batches(draw):
+    """One delta batch over a few ids: adds, in-batch updates and deletes."""
+    deltas = []
+    for doc_index in draw(st.lists(st.integers(0, 5), min_size=1, max_size=10)):
+        doc_id = f"p{doc_index}"
+        if draw(st.booleans()) and any(d.entity_id == doc_id for d in deltas):
+            deltas.append(delete(doc_id))
+        else:
+            entity = draw(annotated_entity(doc_id))
+            deltas.append(DocumentDelta(kind=DELTA_ADD, entity_id=doc_id, entity=entity))
+    return deltas
+
+
+SLICE_QUERIES = (
+    Term("camera"),
+    Phrase(("camera", "flash")),
+    Regex("ba.*"),
+    Concept("spot"),
+    Concept("spot", "nr70"),
+    Concept("sentiment", "+"),
+    Range("price", 2.0, 7.0),
+    Range("rating", 0.0, 4.5),
+    Near(48.86, 2.35, 50.0),
+    Near(40.0, -74.0, 200.0),
+    Not(Term("zoom")),
+    Not(Concept("sentiment")),
+)
+
+
+def slice_answers(inverted):
+    return {
+        "doc_ids": inverted.doc_ids,
+        "tokens": inverted.tokens(),
+        "idf_table": inverted.idf_table(),
+        "searches": [inverted.search(q) for q in SLICE_QUERIES],
+    }
+
+
+class TestAbsorbSlicesEqualReindexing:
+    """Slicing sealed postings answers exactly as re-adding the entities."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(deltas=annotated_batches())
+    def test_absorbed_slices_answer_like_add_entity_slices(self, deltas):
+        segment = make_indexer().index_batch(deltas)
+        index = ReplicatedIndex(3, 3, replication=2)
+        index.absorb(segment)
+        final = {}
+        for delta in deltas:
+            final.pop(delta.entity_id, None)
+            if delta.kind != DELTA_DELETE:
+                final[delta.entity_id] = delta.entity
+        for shard_id in index.shard_ids():
+            reference = InvertedIndex()
+            reference.add_all(
+                e for e in final.values() if shard_of(e.entity_id, 3) == shard_id
+            )
+            replicas = index.replicas_for(shard_id)
+            (sliced,) = {id(r.segments[-1]): r.segments[-1] for r in replicas}.values()
+            assert slice_answers(sliced.inverted) == slice_answers(reference)
 
 
 class TestLiveIndexer:
