@@ -83,9 +83,9 @@ class Tokenizer:
 
     How a regex match splits into tokens depends only on the matched
     string and the abbreviation set, so each instance keeps a table from
-    match to its ``(piece, offset)`` split, relative to the match start.
-    Prose repeats a small vocabulary, so almost every match is split
-    once.
+    match to its ``(piece, offset)`` split, relative to the match start,
+    and to the lowercased pieces :meth:`terms` reads.  Prose repeats a
+    small vocabulary, so almost every match is split once.
 
     Parameters
     ----------
@@ -99,7 +99,7 @@ class Tokenizer:
 
     def __init__(self, extra_abbreviations: frozenset[str] | set[str] | None = None):
         self._abbreviations = ABBREVIATIONS | frozenset(extra_abbreviations or ())
-        self._splits: dict[str, tuple[tuple[str, int], ...]] = {}
+        self._splits: dict[str, tuple[tuple[tuple[str, int], ...], tuple[str, ...]]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -110,19 +110,42 @@ class Tokenizer:
         splits = self._splits
         for match in _WORD_RE.finditer(text):
             raw = match.group()
-            pieces = splits.get(raw)
-            if pieces is None:
-                pieces = tuple((t.text, t.start) for t in self._split_raw(raw, 0))
-                if len(splits) >= self._SPLIT_TABLE_MAX:
-                    splits.clear()
-                splits[raw] = pieces
+            entry = splits.get(raw)
+            if entry is None:
+                entry = self._split_entry(raw)
             start = match.start()
-            for piece, offset in pieces:
+            for piece, offset in entry[0]:
                 begin = start + offset
                 append(Token(piece, begin, begin + len(piece)))
         return tokens
 
+    def terms(self, text: str) -> list[str]:
+        """The lowercased token texts of *text*, in order.
+
+        Equal to ``[t.lower for t in self.tokenize(text)]``, but no
+        :class:`Token` is built: the indexer needs only the terms and
+        their ordinal positions.
+        """
+        terms: list[str] = []
+        extend = terms.extend
+        splits = self._splits
+        for raw in _WORD_RE.findall(text):
+            extend((splits.get(raw) or self._split_entry(raw))[1])
+        return terms
+
     # -- internals ----------------------------------------------------------
+
+    def _split_entry(
+        self, raw: str
+    ) -> tuple[tuple[tuple[str, int], ...], tuple[str, ...]]:
+        """Split *raw* and record it in the bounded split table."""
+        pieces = tuple((t.text, t.start) for t in self._split_raw(raw, 0))
+        entry = (pieces, tuple(piece.lower() for piece, _ in pieces))
+        splits = self._splits
+        if len(splits) >= self._SPLIT_TABLE_MAX:
+            splits.clear()
+        splits[raw] = entry
+        return entry
 
     def _split_raw(self, raw: str, start: int) -> list[Token]:
         """Split one regex match into final tokens."""

@@ -328,6 +328,10 @@ def merge_segments(segments: list[ShardSegment]) -> ShardSegment:
     dropped and the merged segment carries no tombstones.  The merged
     version is the prefix's highest version, so existing pins at or
     above it read identically before and after the merge.
+
+    Each segment is absorbed once: a posting map that holds no masked
+    id is copied whole, and position tuples are shared with the inputs
+    rather than copied.
     """
     if not segments:
         raise ValueError("cannot merge an empty segment list")

@@ -281,10 +281,12 @@ class ReplicatedIndex:
 
         Each shard gets one immutable :class:`ShardSegment` shared by
         all its replicas: sentiment entries routed by subject hash,
-        inverted documents by entity-id hash.  The inverted slices are
-        cut from the sealed segment's postings, so no document is
-        tokenized again.  Every shard's slice
-        carries the segment's *full* tombstone set — a deleted
+        inverted documents by entity-id hash.  One
+        :meth:`~repro.platform.indexer.InvertedIndex.partition` walk
+        cuts every shard's inverted slice from the sealed segment's
+        postings, sharing their position tuples, so no document is
+        tokenized again and no posting is visited twice.  Every shard's
+        slice carries the segment's *full* tombstone set — a deleted
         document's sentiment entries may live in any subject shard, and
         surplus tombstones mask nothing that exists.
 
@@ -293,22 +295,18 @@ class ReplicatedIndex:
         writes, and the gap is what anti-entropy repairs on rejoin.
         """
         version = self._version + 1
+        num_shards = self.num_shards
         slices = [
-            ShardSegment(version=version, tombstones=segment.tombstones)
-            for _ in range(self.num_shards)
+            ShardSegment(version=version, inverted=inverted, tombstones=segment.tombstones)
+            for inverted in segment.inverted.partition(
+                lambda entity_id: shard_of(entity_id, num_shards), num_shards
+            )
         ]
         for subject, entries in segment.sentiment.items():
-            target = slices[shard_of(subject, self.num_shards)].sentiment
+            target = slices[shard_of(subject, num_shards)].sentiment
             for entry in entries:
                 target.add_entry(entry)
-        doc_ids = segment.doc_ids
-        owned: list[set[str]] = [set() for _ in range(self.num_shards)]
-        for doc_id in doc_ids:
-            owned[shard_of(doc_id, self.num_shards)].add(doc_id)
-        for target, kept in zip(slices, owned):
-            if kept:
-                target.inverted.absorb(segment.inverted, skip=doc_ids - kept)
-        for shard_id in range(self.num_shards):
+        for shard_id in range(num_shards):
             for replica in self._replicas[shard_id]:
                 if self.node_up(replica.node_id):
                     replica.segments.append(slices[shard_id])

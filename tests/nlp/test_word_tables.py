@@ -8,6 +8,8 @@ including the material the corpus generators never produce: unicode
 punctuation, clitics, abbreviations, and capitalised unknown words at
 and after the sentence start.  A table that reaches its bound is
 cleared, so it never grows past the bound and outputs do not change.
+``Tokenizer.terms`` reads the same table and must equal the lowered
+texts of ``tokenize`` on the same material, plus whitespace-only text.
 """
 
 from hypothesis import given, settings
@@ -84,6 +86,54 @@ class TestTokenizerTable:
             text = f"{word} rose…"
             assert bounded.tokenize(text) == reference.tokenize(text)
             assert len(bounded._splits) <= 8
+        assert len(reference._splits) > 8
+
+
+#: Material for :meth:`Tokenizer.terms` beyond :func:`prose`: trailing
+#: apostrophes, initials and dotted acronyms, comma and decimal numbers.
+_TERM_PIECES = (
+    "dogs'", "James'", "rock'n'roll", "don't", "can't", "'", "''",
+    "J. R. R.", "I.B.M.", "NASA", "Ph.D.", "a.m.", "U.S.A.", "St.", "No.",
+    "1,234.56", "3,5", "0.5", ",000", "1,000,000", "12.", "4.5GB", "1.2.3",
+    "“quoted”", "‘single’", "naïve", "café", "ß", "İ", "…", "\u00a0",
+)
+_whitespace = st.text(alphabet=" \t\n\r\u00a0\u2003", max_size=6)
+
+
+@st.composite
+def term_text(draw):
+    pieces = draw(
+        st.lists(st.sampled_from(_TERM_PIECES) | prose(max_pieces=6) | _whitespace, max_size=12)
+    )
+    return draw(_separator).join(pieces)
+
+
+def lowered(tokenizer, text):
+    return [token.lower for token in tokenizer.tokenize(text)]
+
+
+class TestTokenizerTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(term_text() | st.text(max_size=40) | _whitespace, min_size=1, max_size=4))
+    def test_terms_equal_lowered_tokens(self, texts):
+        tokenizer, reference = Tokenizer(), Tokenizer()
+        for text in texts + texts:  # the second pass is served from the table
+            assert tokenizer.terms(text) == lowered(reference, text)
+
+    def test_empty_and_whitespace_only(self):
+        tokenizer = Tokenizer()
+        for text in ("", " ", "\n\t ", "\u00a0\u2003"):
+            assert tokenizer.terms(text) == lowered(tokenizer, text) == []
+
+    def test_terms_share_the_bounded_table(self):
+        bounded, reference = Tokenizer(), Tokenizer()
+        bounded._SPLIT_TABLE_MAX = 8
+        words = [f"Word{i}'s" for i in range(50)] + ["Inc.", "U.S.", "don't"]
+        for word in words + words:
+            text = f"{word} rose 1,000.5…"
+            assert bounded.terms(text) == lowered(reference, text)
+            assert len(bounded._splits) <= 8
+            assert bounded.tokenize(text) == reference.tokenize(text)
         assert len(reference._splits) > 8
 
 

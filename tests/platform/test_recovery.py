@@ -570,9 +570,9 @@ class TestSharedShardWork:
     def test_each_document_is_tokenized_once(self, monkeypatch):
         tokenized = []
         tokenizer = indexer_module._DEFAULT_TOKENIZER
-        tokenize = tokenizer.tokenize
+        terms = tokenizer.terms
         monkeypatch.setattr(
-            tokenizer, "tokenize", lambda text: tokenized.append(text) or tokenize(text)
+            tokenizer, "terms", lambda text: tokenized.append(text) or terms(text)
         )
         index = ReplicatedIndex(4, 3, replication=3)
         entities = [
@@ -586,6 +586,38 @@ class TestSharedShardWork:
         batch = [add(f"n{i}", f"{text} [{i}]") for i, text in enumerate((OTHER, POSITIVE))]
         make_live(index, Obs.default()).apply_batch(batch)
         assert sorted(tokenized) == sorted(d.entity.content for d in batch)
+
+    def test_absorb_walks_the_sealed_postings_once(self, monkeypatch):
+        obs = Obs.default()
+        index = ReplicatedIndex(4, 3, replication=2)
+        live = make_live(index, obs, max_segments=2)
+        partitions, absorbs = [], []
+        partition, absorb = InvertedIndex.partition, InvertedIndex.absorb
+        monkeypatch.setattr(
+            InvertedIndex,
+            "partition",
+            lambda self, *args: partitions.append(self) or partition(self, *args),
+        )
+        monkeypatch.setattr(
+            InvertedIndex,
+            "absorb",
+            lambda self, *args, **kwargs: absorbs.append(self) or absorb(self, *args, **kwargs),
+        )
+        replicated_absorb = index.absorb
+
+        def observed_absorb(segment):
+            partitions.clear()
+            merged_before = len(absorbs)
+            version = replicated_absorb(segment)
+            assert partitions == [segment.inverted]  # one walk per sealed segment
+            assert len(absorbs) == merged_before  # slicing replays no postings
+            return version
+
+        monkeypatch.setattr(index, "absorb", observed_absorb)
+        for batch in BATCHES:
+            live.apply_batch(batch)
+        assert obs.metrics.counter("compaction.runs").value > 0
+        assert absorbs  # compaction merges went through absorb
 
 
 # ---------------------------------------------------------------------------

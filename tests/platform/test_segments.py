@@ -324,6 +324,72 @@ class TestAbsorbSlicesEqualReindexing:
             assert slice_answers(sliced.inverted) == slice_answers(reference)
 
 
+SHARED_TEXTS = {
+    "s1": "The camera takes sharp pictures . The flash is weak .",
+    "s2": "The battery drains fast . The camera is heavy .",
+    "s3": "Sharp pictures , weak battery , heavy camera .",
+    "s4": "The flash is weak but the camera takes sharp pictures .",
+}
+SHARED_QUERIES = (
+    Term("camera"),
+    Phrase(("camera", "takes", "sharp", "pictures")),
+    Phrase(("the", "flash", "is", "weak")),
+    Phrase(("battery", "drains")),
+    Regex("sh.*"),
+    Not(Term("battery")),
+)
+
+
+def shared_answers(inverted):
+    return (inverted.doc_ids, [inverted.search(q) for q in SHARED_QUERIES])
+
+
+class TestSharedPostingsStayPut:
+    """Slices and merges share position tuples with their sources.
+
+    Writes to any one index — the sealed source, or a merged segment
+    that becomes a shard's mutable base — must never show through in
+    another.
+    """
+
+    @staticmethod
+    def build():
+        source = InvertedIndex()
+        source.add_all(Entity(entity_id=i, content=t) for i, t in SHARED_TEXTS.items())
+        slices = source.partition(lambda entity_id: shard_of(entity_id, 2), 2)
+        assert all(part.doc_ids for part in slices)
+        merges = [
+            merge_segments(
+                [ShardSegment(version=0)]
+                + [ShardSegment(version=v, inverted=part) for v, part in enumerate(parts, 1)]
+            ).inverted
+            for parts in ([source], slices)
+        ]
+        return source, slices, merges
+
+    @staticmethod
+    def rewrite(inverted):
+        inverted.add_entity(Entity(entity_id="s1", content="The flash is weak ."))
+        inverted.add_entity(Entity(entity_id="s2", content="Camera takes sharp pictures ."))
+        inverted.remove_entity("s4")
+
+    def test_source_writes_leave_slices_and_merges_unchanged(self):
+        source, slices, merges = self.build()
+        before = [shared_answers(part) for part in slices + merges]
+        assert before[-1] == before[-2] == shared_answers(source)
+        self.rewrite(source)
+        assert shared_answers(source) != before[-1]
+        assert [shared_answers(part) for part in slices + merges] == before
+
+    def test_merged_base_writes_leave_their_inputs_unchanged(self):
+        source, slices, merges = self.build()
+        before = [shared_answers(part) for part in [source] + slices]
+        for merged in merges:
+            self.rewrite(merged)
+            assert shared_answers(merged) != before[0]
+        assert [shared_answers(part) for part in [source] + slices] == before
+
+
 class TestLiveIndexer:
     def test_apply_batch_reports_freshness_and_triggers_compaction(self):
         obs = Obs.default()
