@@ -2,7 +2,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke perfbench-trace bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery lint lint-report
+.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke perfbench-trace bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery bench-paper lint lint-report
 
 test: lint
 	python -m pytest -x -q
@@ -85,6 +85,15 @@ bench-lint:
 # byte-identical.
 bench-recovery:
 	cd benchmarks && PYTHONPATH=../src python -m pytest -q bench_recovery.py
+
+# Paper-facing results at default scale: Tables 2-5, feature precision
+# and the ablations.  Fails if a reproduced number leaves its band or a
+# claimed ordering between methods breaks.
+bench-paper:
+	cd benchmarks && PYTHONPATH=../src python -m pytest -q \
+		bench_table2_top_features.py bench_table3_references.py \
+		bench_table4_reviews.py bench_table5_general_web.py \
+		bench_feature_precision.py bench_ablations.py
 
 # Byte-compile everything, then run the static-analysis rule set
 # (determinism, layering, obs discipline, pattern-DB/lexicon invariants).

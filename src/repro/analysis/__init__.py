@@ -35,7 +35,6 @@ from .code_rules import (
     SeededRngRule,
     ServingDisciplineRule,
     SpanContextRule,
-    TraceContextRule,
     VinciHandlerRule,
     WallClockRule,
     default_code_rules,
@@ -170,7 +169,6 @@ __all__ = [
     "SpanContextRule",
     "Suppression",
     "SuppressionConfig",
-    "TraceContextRule",
     "TraceThreadingRule",
     "VinciHandlerRule",
     "WalOrderingRule",

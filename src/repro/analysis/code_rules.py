@@ -817,191 +817,11 @@ class EnvelopeSchemaRule(CodeRule):
         return isinstance(value, ast.Name)
 
 
-# ---------------------------------------------------------------------------
-# OBS003 — trace context threads through every bus request
-# ---------------------------------------------------------------------------
-
-#: Call names whose result carries the trace context by construction.
-_TRACE_WRAPPERS = frozenset({"with_trace"})
-
-
-def _dict_has_trace_key(node: ast.Dict) -> bool:
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and key.value == "trace":
-            return True
-        if isinstance(key, ast.Name) and key.id == "TRACE_KEY":
-            return True
-        if isinstance(key, ast.Attribute) and key.attr == "TRACE_KEY":
-            return True
-    return False
-
-
-class TraceContextRule(CodeRule):
-    """Every platform bus request carries the caller's trace context.
-
-    The cross-node span tree (DESIGN.md §5h) only stays connected when
-    each hop re-injects the current :class:`~repro.obs.context.TraceContext`
-    into the payload it sends.  Two checks over ``repro/platform``:
-
-    * every ``<bus>.request(service, payload)`` call passes a payload
-      that demonstrably carries the context — a ``with_trace(...)``
-      call, a dict literal with a ``"trace"``/``TRACE_KEY`` key, a local
-      assigned from one of those, or a parameter of the enclosing
-      function (the caller already owns propagation);
-    * every function that takes a ``payload``/``envelope`` parameter
-      and opens tracer spans consults the incoming context — it calls
-      ``extract_context`` or passes ``parent=`` to some span — instead
-      of silently starting a disconnected subtree.
-    """
-
-    rule_id = "OBS003"
-    name = "obs-trace-propagation"
-    severity = Severity.ERROR
-    invariant = (
-        "every bus request in repro/platform sends a trace-carrying payload "
-        "(with_trace or an explicit 'trace' key), and envelope-handling "
-        "functions that open spans consult the incoming context"
-    )
-    scope = ("repro/platform/*",)
-
-    def check(self, path: str, modpath: str, tree: ast.Module) -> Iterator[Finding]:
-        calls: list[tuple[ast.Call, ast.AST]] = []
-        self._collect_calls(tree, tree, calls)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_envelope_spans(
-                    node, self._params(node), path
-                )
-        traced_cache: dict[int, set[str]] = {}
-        for node, scope in calls:
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "request"):
-                continue
-            if "bus" not in _receiver_text(func.value):
-                continue
-            payload = self._payload_arg(node)
-            if payload is None:
-                continue
-            params = self._params(scope)
-            if id(scope) not in traced_cache:
-                traced_cache[id(scope)] = self._traced_names(scope, params)
-            if not self._carries_trace(payload, traced_cache[id(scope)], params):
-                yield self.finding(
-                    "bus request payload drops the trace context: wrap it "
-                    "with repro.obs.with_trace(...) (or carry an explicit "
-                    "'trace' key) so the cross-node span tree stays "
-                    "connected",
-                    path=path,
-                    line=node.lineno,
-                )
-
-    @classmethod
-    def _collect_calls(
-        cls,
-        node: ast.AST,
-        scope: ast.AST,
-        out: list[tuple[ast.Call, ast.AST]],
-    ) -> None:
-        """Every Call paired with its innermost enclosing function scope."""
-        for child in ast.iter_child_nodes(node):
-            child_scope = (
-                child
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                else scope
-            )
-            if isinstance(child, ast.Call):
-                out.append((child, child_scope))
-            cls._collect_calls(child, child_scope, out)
-
-    @staticmethod
-    def _params(scope: ast.AST) -> set[str]:
-        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return set()
-        args = scope.args
-        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-        params.discard("self")
-        params.discard("cls")
-        return params
-
-    @staticmethod
-    def _payload_arg(call: ast.Call) -> ast.expr | None:
-        if len(call.args) >= 2:
-            return call.args[1]
-        for keyword in call.keywords:
-            if keyword.arg == "payload":
-                return keyword.value
-        return None
-
-    def _traced_names(self, scope: ast.AST, params: set[str]) -> set[str]:
-        """Names in *scope* assigned from trace-carrying expressions."""
-        traced: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not self._carries_trace(node.value, traced, params):
-                    continue
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id not in traced:
-                        traced.add(target.id)
-                        changed = True
-        return traced
-
-    def _carries_trace(
-        self, node: ast.expr, traced_names: set[str], params: set[str]
-    ) -> bool:
-        if isinstance(node, ast.Call):
-            name = _terminal_name(node.func)
-            return name in _TRACE_WRAPPERS
-        if isinstance(node, ast.Dict):
-            return _dict_has_trace_key(node)
-        if isinstance(node, ast.Name):
-            return node.id in traced_names or node.id in params
-        return False
-
-    def _check_envelope_spans(
-        self, fn: ast.FunctionDef, params: set[str], path: str
-    ) -> Iterator[Finding]:
-        if not params & {"payload", "envelope"}:
-            return
-        # A trace_id/ctx parameter means the caller already resolved the
-        # context and threads it explicitly.
-        consults_context = bool(params & {"trace_id", "ctx", "parent"})
-        span_calls: list[ast.Call] = []
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr == "current_context":
-                consults_context = True
-            if not isinstance(node, ast.Call):
-                continue
-            name = _terminal_name(node.func)
-            if name == "extract_context" or name in _TRACE_WRAPPERS:
-                consults_context = True
-            elif name == "span" and "tracer" in _receiver_text(
-                getattr(node.func, "value", ast.Constant(value=None))
-            ):
-                span_calls.append(node)
-                if any(k.arg == "parent" for k in node.keywords):
-                    consults_context = True
-        if span_calls and not consults_context:
-            yield self.finding(
-                f"{fn.name!r} takes an envelope payload and opens spans but "
-                "never consults the incoming trace context (extract_context "
-                "or span(parent=...)); its subtree disconnects from the "
-                "caller's trace",
-                path=path,
-                line=fn.lineno,
-            )
-
-
 def default_code_rules() -> list[CodeRule]:
     """The full per-file rule set, in report order.
 
-    OBS003 (:class:`TraceContextRule`) is no longer part of the default
-    set: the interprocedural OBS003i in
-    :mod:`repro.analysis.program_rules` supersedes its per-file
-    heuristic.  The class stays importable for targeted use.
+    Trace-context threading is checked whole-program by OBS003i in
+    :mod:`repro.analysis.program_rules`.
     """
     return [
         WallClockRule(),

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ..lexicons.negation import NEGATION_VERBS
 from ..obs import Obs
+from ..obs.audit import CONTEXT_WINDOW, NO_MATCH, PATTERN_MATCH, AuditTrail, NullAuditTrail
 from ..obs.metrics import Counter
 from ..nlp import penn
 from ..nlp.lemmatizer import Lemmatizer, lemmatize
@@ -36,6 +37,7 @@ from ..nlp.postagger import PosTagger
 from ..nlp.sentences import SentenceSplitter
 from ..nlp.tokenizer import Tokenizer
 from ..nlp.tokens import Chunk, Sentence, Span, TaggedSentence
+from .context import ContextWindowRule
 from .lexicon import SentimentLexicon, default_lexicon
 from .model import Polarity, Provenance, SentimentJudgment, Spot, Subject
 from .patterns import ComponentRef, SentimentPattern, SentimentPatternDB, default_pattern_db
@@ -54,6 +56,39 @@ class ClauseAssignment:
     def covers(self, span: Span) -> bool:
         """True when *span* overlaps any of the assignment's spans."""
         return any(s.overlaps(span) for s in self.spans)
+
+
+def audit_judgment(
+    audit: AuditTrail | NullAuditTrail,
+    judgment: SentimentJudgment,
+    inherited: bool = False,
+) -> None:
+    """Record why *judgment* resolved the way it did.
+
+    *inherited* marks a polarity taken from the context window
+    (:meth:`SentimentAnalyzer.judge_spotted`); otherwise the reason is a
+    pattern match or no match.
+    """
+    if not audit.enabled:
+        return
+    provenance = judgment.provenance
+    if inherited:
+        reason = CONTEXT_WINDOW
+    elif provenance is not None and provenance.pattern:
+        reason = PATTERN_MATCH
+    else:
+        reason = NO_MATCH
+    audit.record_sentiment(
+        judgment.subject_name,
+        judgment.polarity.value,
+        reason,
+        document_id=judgment.spot.document_id,
+        sentence_index=judgment.spot.sentence_index,
+        pattern=provenance.pattern if provenance else "",
+        predicate=provenance.predicate if provenance else "",
+        lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
+        negated=bool(provenance.negated) if provenance else False,
+    )
 
 
 class SentimentAnalyzer:
@@ -240,79 +275,86 @@ class SentimentAnalyzer:
             "analyze.text", document_id=document_id, subjects=len(subjects)
         ) as span:
             sentences = self._splitter.split_text(text)
-            spotter = self._spotter_for(subjects)
-            judgments = self._judge_sentences(sentences, spotter, document_id)
+            spots = self._spotter_for(subjects).spot_document(sentences, document_id)
+            judgments = [judgment for judgment, _ in self.judge_spotted(sentences, spots)]
             span.set_attribute("sentences", len(sentences))
             span.set_attribute("judgments", len(judgments))
-            if self._obs.audit.enabled:
-                for judgment in judgments:
-                    self._audit_judgment(judgment)
+            for judgment in judgments:
+                audit_judgment(self._obs.audit, judgment)
             self.publish_memo_metrics()
             return judgments
 
-    def analyze_batch(
-        self,
-        documents: list[tuple[str, str]],
-        subjects: list[Subject],
-    ) -> list[list[SentimentJudgment]]:
-        """Batched full pipeline over ``(document_id, text)`` pairs.
-
-        Each stage loops tight over the whole batch (split all, spot
-        all, judge all) instead of re-entering the full stack per
-        document.  Per document, the returned judgment list — and the
-        audit entries recorded for it — are byte-identical to a
-        :meth:`analyze_text` call for that document alone.
-        """
-        documents = list(documents)
-        with self._obs.tracer.span(
-            "analyze.batch", documents=len(documents), subjects=len(subjects)
-        ) as span:
-            spotter = self._spotter_for(subjects)
-            sentences_by_doc = [
-                self._splitter.split_text(text) for _, text in documents
-            ]
-            results = [
-                self._judge_sentences(sentences, spotter, document_id)
-                for (document_id, _), sentences in zip(documents, sentences_by_doc)
-            ]
-            span.set_attribute("judgments", sum(len(r) for r in results))
-            if self._obs.audit.enabled:
-                for judgments in results:
-                    for judgment in judgments:
-                        self._audit_judgment(judgment)
-            self.publish_memo_metrics()
-            return results
-
-    def _judge_sentences(
+    def judge_spotted(
         self,
         sentences: list[Sentence],
-        spotter: SubjectSpotter,
-        document_id: str,
-    ) -> list[SentimentJudgment]:
-        """Spot, tag, and judge one document's sentences."""
-        judgments: list[SentimentJudgment] = []
-        for sentence in sentences:
-            spots = spotter.spot_sentence(sentence, document_id)
-            if not spots:
-                continue
-            tagged = self.tag(sentence)
-            judgments.extend(self.judge_spots(tagged, spots))
-        return judgments
+        spots: list[Spot],
+        rule: ContextWindowRule = ContextWindowRule(),
+    ) -> list[tuple[SentimentJudgment, bool]]:
+        """Judge every spot against its own sentence, in sentence order.
 
-    def _audit_judgment(self, judgment: SentimentJudgment) -> None:
-        provenance = judgment.provenance
-        matched = provenance is not None and provenance.pattern
-        self._obs.audit.record_sentiment(
-            judgment.subject_name,
-            judgment.polarity.value,
-            "pattern-match" if matched else "no-match",
-            document_id=judgment.spot.document_id,
-            sentence_index=judgment.spot.sentence_index,
-            pattern=provenance.pattern if provenance else "",
-            predicate=provenance.predicate if provenance else "",
-            lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
-            negated=bool(provenance.negated) if provenance else False,
-        )
+        Sentences are looked up by :attr:`Sentence.index`, so *sentences*
+        may be a splitter's full list or the sentences an entity's
+        annotation layers rebuild; spots whose sentence is absent are
+        skipped.  Each judgment is paired with whether it inherited its
+        polarity through the context *rule*'s window.
+        """
+        by_index = {sentence.index: sentence for sentence in sentences}
+        spots_by_sentence: dict[int, list[Spot]] = {}
+        for spot in spots:
+            spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
+        judged: list[tuple[SentimentJudgment, bool]] = []
+        for index, sentence_spots in sorted(spots_by_sentence.items()):
+            sentence = by_index.get(index)
+            if sentence is None:
+                continue
+            judgments = self.judge_spots(self.tag(sentence), sentence_spots)
+            judged.extend(self._widen_with_context(by_index, index, judgments, rule))
+        return judged
+
+    def _widen_with_context(
+        self,
+        by_index: dict[int, Sentence],
+        index: int,
+        judgments: list[SentimentJudgment],
+        rule: ContextWindowRule,
+    ) -> list[tuple[SentimentJudgment, bool]]:
+        """Context-window attribution for anaphora.
+
+        When the window rule includes neighbouring sentences, a spot left
+        NEUTRAL by its own sentence inherits a polarity assigned to a bare
+        pronoun subject in a window sentence ("I tested the zoom.  It is
+        superb.") — the paper's "possibly some surrounding text of the
+        sentence determined by the sentiment context window formation
+        rule".  Inherited judgments are flagged so the audit trail can
+        label them ``context-window`` rather than ``pattern-match``.
+        """
+        if (rule.sentences_before == 0 and rule.sentences_after == 0) or all(
+            j.polarity.is_polar for j in judgments
+        ):
+            return [(judgment, False) for judgment in judgments]
+        for i in range(index - rule.sentences_before, index + rule.sentences_after + 1):
+            neighbor = by_index.get(i)
+            if i == index or neighbor is None:
+                continue
+            assignment = self.pronoun_assignment(self.tag(neighbor))
+            if assignment is not None:
+                break
+        else:
+            return [(judgment, False) for judgment in judgments]
+        return [
+            (judgment, False)
+            if judgment.polarity.is_polar
+            else (
+                SentimentJudgment(
+                    spot=judgment.spot,
+                    polarity=assignment.polarity,
+                    provenance=assignment.provenance,
+                    sentence_span=judgment.sentence_span,
+                ),
+                True,
+            )
+            for judgment in judgments
+        ]
 
     # -- clause analysis ---------------------------------------------------------
 

@@ -14,18 +14,19 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..obs import Obs
-from ..obs.audit import CONTEXT_WINDOW, NO_MATCH, PATTERN_MATCH, AuditEntry
+from ..obs.audit import AuditEntry
 from ..nlp.sentences import SentenceSplitter
 from ..nlp.tokenizer import Tokenizer
-from .analyzer import SentimentAnalyzer
+from .analyzer import SentimentAnalyzer, audit_judgment
 from .context import ContextBuilder, ContextWindowRule
 from .disambiguation import Disambiguator
-from .model import Polarity, SentimentJudgment, Spot, Subject
+from .model import Polarity, SentimentJudgment, Subject
 from .spotting import NamedEntitySpotter, SubjectSpotter
 
-#: Nominal simulated cost one pipeline stage charges per document —
-#: keeps standalone-miner span durations in the same currency the
-#: cluster uses (one entity ≈ 1.0 units across its stages).
+#: Nominal simulated cost one pipeline stage charges per engine call, so
+#: per document on the ``mine_document`` path — keeps standalone-miner
+#: span durations in the same currency the cluster uses (one entity ≈
+#: 1.0 units across its stages).
 STAGE_COST = 0.25
 
 
@@ -113,116 +114,9 @@ class SentimentMiner:
 
     def mine_document(self, text: str, document_id: str = "") -> MiningResult:
         """Run the Fig. 2 pipeline on one document."""
-        if self._spotter is None:
-            raise ValueError("mode A requires a predefined subject list")
-        obs = self._obs
-        tracer = obs.tracer
-        audit_mark = obs.audit.mark()
-        result = MiningResult()
-        result.stats.documents = 1
-        with tracer.span("mine.document", document_id=document_id, mode="A") as doc_span:
-            sentences = self._splitter.split_text(text)
-            result.stats.sentences = len(sentences)
-            with tracer.span("stage.spot", sentences=len(sentences)) as span:
-                obs.clock.advance(STAGE_COST)
-                spots = self._spotter.spot_document(sentences, document_id)
-                span.set_attribute("spots", len(spots))
-            result.stats.spots_found = len(spots)
-            if self._disambiguator is not None:
-                with tracer.span("stage.disambiguate", spots=len(spots)) as span:
-                    obs.clock.advance(STAGE_COST)
-                    spots = self._disambiguator.disambiguate(
-                        sentences, spots, audit=obs.audit
-                    ).on_topic
-                    span.set_attribute("on_topic", len(spots))
-            result.stats.spots_on_topic = len(spots)
-
-            spots_by_sentence: dict[int, list[Spot]] = {}
-            for spot in spots:
-                spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
-            with tracer.span(
-                "stage.analyze", sentences_with_spots=len(spots_by_sentence)
-            ):
-                obs.clock.advance(STAGE_COST)
-                self._analyze_spotted(sentences, spots_by_sentence, result)
-            doc_span.set_attribute("judgments", len(result.judgments))
-        self._publish(result)
-        result.audit = obs.audit.since(audit_mark)
-        return result
-
-    def _analyze_spotted(
-        self,
-        sentences: list,
-        spots_by_sentence: dict[int, list[Spot]],
-        result: MiningResult,
-    ) -> None:
-        """Judge every spotted sentence, recording into *result*."""
-        for index, sentence_spots in sorted(spots_by_sentence.items()):
-            sentence = sentences[index]
-            tagged = self._analyzer.tag(sentence)
-            judgments = self._analyzer.judge_spots(tagged, sentence_spots)
-            judgments, inherited = self._widen_with_context(
-                sentences, index, judgments
-            )
-            self._record(result, judgments, context_inherited=inherited)
-
-    def _widen_with_context(
-        self,
-        sentences: list,
-        index: int,
-        judgments: list[SentimentJudgment],
-    ) -> tuple[list[SentimentJudgment], frozenset[int]]:
-        """Context-window attribution for anaphora.
-
-        When the window rule includes neighbouring sentences, a spot left
-        NEUTRAL by its own sentence inherits a polarity assigned to a bare
-        pronoun subject in a window sentence ("I tested the zoom.  It is
-        superb.") — the paper's "possibly some surrounding text of the
-        sentence determined by the sentiment context window formation
-        rule".
-
-        Returns the (possibly rewritten) judgments plus the positions
-        that inherited their polarity from the window, so the audit
-        trail can label them ``context-window`` rather than
-        ``pattern-match``.
-        """
-        rule = self._context_builder.rule
-        if rule.sentences_after == 0 and rule.sentences_before == 0:
-            return judgments, frozenset()
-        if all(j.polarity.is_polar for j in judgments):
-            return judgments, frozenset()
-        neighbor_indices = [
-            i
-            for i in range(index - rule.sentences_before, index + rule.sentences_after + 1)
-            if i != index and 0 <= i < len(sentences)
-        ]
-        inherited: Polarity | None = None
-        provenance = None
-        for i in neighbor_indices:
-            tagged = self._analyzer.tag(sentences[i])
-            assignment = self._analyzer.pronoun_assignment(tagged)
-            if assignment is not None:
-                inherited = assignment.polarity
-                provenance = assignment.provenance
-                break
-        if inherited is None:
-            return judgments, frozenset()
-        widened = []
-        inherited_positions = set()
-        for position, judgment in enumerate(judgments):
-            if judgment.polarity.is_polar:
-                widened.append(judgment)
-            else:
-                inherited_positions.add(position)
-                widened.append(
-                    SentimentJudgment(
-                        spot=judgment.spot,
-                        polarity=inherited,
-                        provenance=provenance,
-                        sentence_span=judgment.sentence_span,
-                    )
-                )
-        return widened, frozenset(inherited_positions)
+        return self._mine(
+            [(document_id, text)], "mine.document", document_id=document_id, mode="A"
+        )
 
     def mine_corpus(
         self, documents: Iterable[tuple[str, str]]
@@ -240,73 +134,76 @@ class SentimentMiner:
         return total
 
     def mine_batch(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
-        """Mode A over a document batch, one tight loop per pipeline stage.
+        """Mode A over a whole document batch in one pass of the engine.
 
-        Where :meth:`mine_corpus` re-enters the full stack per document,
-        this splits the whole batch, then spots the whole batch, then
-        disambiguates, then analyzes — so each stage's tables and caches
-        stay hot across the slice.  The result is byte-identical to
-        :meth:`mine_corpus` on the same documents: same judgments in the
-        same order, same stats, and the same per-document audit-entry
-        sequence (``MiningResult.audit`` is assembled in document order
-        even though the global trail records stage-major).
+        The result is byte-identical to :meth:`mine_corpus` on the same
+        documents; only the simulated cost differs, charged per stage
+        per batch rather than per stage per document.
+        """
+        documents = list(documents)
+        return self._mine(documents, "mine.batch", mode="A", documents=len(documents))
 
-        Simulated cost is charged per *stage per batch* rather than per
-        stage per document — the batching win the throughput benchmark
-        measures in docs/sim-sec.
+    def _mine(
+        self, documents: list[tuple[str, str]], span_name: str, /, **attributes: object
+    ) -> MiningResult:
+        """The Mode A engine: one tight loop per pipeline stage.
+
+        Splits every document, then spots them all, then disambiguates,
+        then analyzes, so each stage's tables and caches stay hot across
+        the batch.  Judgments come out in document order, and
+        ``MiningResult.audit`` is reassembled per document even though
+        the global trail records stage-major.  Each stage but the split
+        charges ``STAGE_COST`` once per call, so a one-document call
+        costs what one document always has.
         """
         if self._spotter is None:
             raise ValueError("mode A requires a predefined subject list")
-        documents = list(documents)
         obs = self._obs
         tracer = obs.tracer
+        audit = obs.audit
         total = MiningResult()
-        with tracer.span("mine.batch", mode="A", documents=len(documents)) as span:
-            with tracer.span("stage.split", documents=len(documents)):
-                obs.clock.advance(STAGE_COST)
-                sentences_by_doc = [
-                    self._splitter.split_text(text) for _, text in documents
-                ]
-            with tracer.span("stage.spot", documents=len(documents)):
+        with tracer.span(span_name, **attributes) as outer:
+            sentences_by_doc = [self._splitter.split_text(text) for _, text in documents]
+            total.stats.documents = len(documents)
+            total.stats.sentences = sum(map(len, sentences_by_doc))
+            with tracer.span("stage.spot", sentences=total.stats.sentences) as span:
                 obs.clock.advance(STAGE_COST)
                 spots_by_doc = [
                     self._spotter.spot_document(sentences, document_id)
                     for (document_id, _), sentences in zip(documents, sentences_by_doc)
                 ]
-            found_counts = [len(spots) for spots in spots_by_doc]
+                total.stats.spots_found = sum(map(len, spots_by_doc))
+                span.set_attribute("spots", total.stats.spots_found)
             audit_by_doc: list[list[AuditEntry]] = [[] for _ in documents]
             if self._disambiguator is not None:
-                with tracer.span("stage.disambiguate", documents=len(documents)):
+                with tracer.span("stage.disambiguate", spots=total.stats.spots_found) as span:
                     obs.clock.advance(STAGE_COST)
                     for position, sentences in enumerate(sentences_by_doc):
-                        mark = obs.audit.mark()
+                        mark = audit.mark()
                         spots_by_doc[position] = self._disambiguator.disambiguate(
-                            sentences, spots_by_doc[position], audit=obs.audit
+                            sentences, spots_by_doc[position], audit=audit
                         ).on_topic
-                        audit_by_doc[position] = obs.audit.since(mark)
-            results: list[MiningResult] = []
-            with tracer.span("stage.analyze", documents=len(documents)):
+                        audit_by_doc[position] = audit.since(mark)
+                    span.set_attribute("on_topic", sum(map(len, spots_by_doc)))
+            total.stats.spots_on_topic = sum(map(len, spots_by_doc))
+            with tracer.span(
+                "stage.analyze",
+                sentences_with_spots=sum(
+                    len({spot.sentence_index for spot in spots}) for spots in spots_by_doc
+                ),
+            ):
                 obs.clock.advance(STAGE_COST)
+                rule = self._context_builder.rule
                 for position, sentences in enumerate(sentences_by_doc):
-                    mark = obs.audit.mark()
-                    result = MiningResult()
-                    result.stats.documents = 1
-                    result.stats.sentences = len(sentences)
-                    spots = spots_by_doc[position]
-                    result.stats.spots_found = found_counts[position]
-                    result.stats.spots_on_topic = len(spots)
-                    spots_by_sentence: dict[int, list[Spot]] = {}
-                    for spot in spots:
-                        spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
-                    self._analyze_spotted(sentences, spots_by_sentence, result)
-                    audit_by_doc[position] = audit_by_doc[position] + obs.audit.since(mark)
-                    results.append(result)
-            for position, result in enumerate(results):
-                total.judgments.extend(result.judgments)
-                total.stats.merge(result.stats)
-                total.audit.extend(audit_by_doc[position])
-            span.set_attribute("documents", total.stats.documents)
-            span.set_attribute("judgments", len(total.judgments))
+                    mark = audit.mark()
+                    self._record(
+                        total,
+                        self._analyzer.judge_spotted(sentences, spots_by_doc[position], rule),
+                    )
+                    audit_by_doc[position].extend(audit.since(mark))
+            for entries in audit_by_doc:
+                total.audit.extend(entries)
+            outer.set_attribute("judgments", len(total.judgments))
         self._publish(total)
         return total
 
@@ -344,7 +241,7 @@ class SentimentMiner:
                     continue
                 result.stats.spots_on_topic += len(spots)
                 judgments = self._analyzer.judge_spots(tagged, spots)
-                self._record(result, judgments)
+                self._record(result, [(judgment, False) for judgment in judgments])
             doc_span.set_attribute("judgments", len(result.judgments))
         self._publish(result)
         result.audit = obs.audit.since(audit_mark)
@@ -368,37 +265,21 @@ class SentimentMiner:
     def _record(
         self,
         result: MiningResult,
-        judgments: list[SentimentJudgment],
-        context_inherited: frozenset[int] = frozenset(),
+        judged: list[tuple[SentimentJudgment, bool]],
     ) -> None:
-        """Accumulate judgments into *result*, auditing each decision."""
+        """Accumulate judgments into *result*, auditing each decision.
+
+        Each judgment is paired with whether it inherited its polarity
+        through the context window.
+        """
         audit = self._obs.audit
-        for position, judgment in enumerate(judgments):
+        for judgment, inherited in judged:
             result.judgments.append(judgment)
             if judgment.polarity is Polarity.NEUTRAL:
                 result.stats.judgments_neutral += 1
             else:
                 result.stats.judgments_polar += 1
-            if not audit.enabled:
-                continue
-            provenance = judgment.provenance
-            if position in context_inherited:
-                reason = CONTEXT_WINDOW
-            elif provenance is not None and provenance.pattern:
-                reason = PATTERN_MATCH
-            else:
-                reason = NO_MATCH
-            audit.record_sentiment(
-                judgment.subject_name,
-                judgment.polarity.value,
-                reason,
-                document_id=judgment.spot.document_id,
-                sentence_index=judgment.spot.sentence_index,
-                pattern=provenance.pattern if provenance else "",
-                predicate=provenance.predicate if provenance else "",
-                lexicon_entries=tuple(provenance.sentiment_words) if provenance else (),
-                negated=bool(provenance.negated) if provenance else False,
-            )
+            audit_judgment(audit, judgment, inherited)
 
     def _publish(self, result: MiningResult) -> None:
         """Mirror the run's :class:`MiningStats` into the metrics registry."""

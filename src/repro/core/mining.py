@@ -16,8 +16,8 @@ The framework is deliberately store-agnostic: it talks to any object
 satisfying the :class:`EntityStore` protocol, so it can live below
 :mod:`repro.platform` in the import DAG (``core/miners → platform``)
 while :class:`repro.platform.datastore.DataStore` remains the production
-implementation.  :mod:`repro.platform.miners` re-exports these names for
-backward compatibility.
+implementation.  The platform, its cluster and the apps import these
+names from here.
 """
 
 from __future__ import annotations
@@ -132,34 +132,7 @@ class MinerPipeline:
 
     def process_entity(self, entity: Entity, report: PipelineReport | None = None) -> Entity:
         """Run every miner on one entity, in order."""
-        report = report if report is not None else PipelineReport()
-        produced: set[str] = set()
-        for miner in self._miners:
-            # A layer is satisfied if an upstream miner ran for it on this
-            # entity (even yielding zero annotations) or the stored entity
-            # already carries it.
-            missing = [
-                layer
-                for layer in miner.requires
-                if layer not in produced and not entity.has_layer(layer)
-            ]
-            if missing:
-                if self._strict:
-                    raise PipelineError(
-                        f"entity {entity.entity_id!r} missing layers {missing} "
-                        f"for {miner.name!r}"
-                    )
-                continue
-            try:
-                miner.process(entity)
-            except Exception as exc:  # noqa: BLE001 — isolate miner crashes
-                report.errors.append((miner.name, entity.entity_id, str(exc)))
-                if self._strict:
-                    raise
-                continue
-            produced.update(miner.provides)
-            report.miner_runs[miner.name] = report.miner_runs.get(miner.name, 0) + 1
-        report.entities_processed += 1
+        self.process_batch([entity], report)
         return entity
 
     def process_batch(
@@ -167,13 +140,13 @@ class MinerPipeline:
     ) -> PipelineReport:
         """Run the pipeline over an entity slice, one miner at a time.
 
-        Where :meth:`process_entity` re-enters the whole miner chain per
-        entity, this loops *miner-major*: each stage sweeps the full
-        slice before the next stage starts, so per-miner tables (spotting
+        The loop is *miner-major*: each stage sweeps the full slice
+        before the next stage starts, so per-miner tables (spotting
         automata, parse memos, lexicon probe caches) stay hot across the
-        batch.  Per-entity semantics are identical — the same dependency
-        checks, the same error isolation, the same end state — which the
-        batch-equivalence tests pin down, including under chaos failover.
+        batch.  Per-entity semantics do not depend on the slicing — the
+        same dependency checks, the same error isolation, the same end
+        state — which the batch-equivalence tests pin down, including
+        under chaos failover.
         """
         report = report if report is not None else PipelineReport()
         produced: list[set[str]] = [set() for _ in entities]
@@ -204,18 +177,11 @@ class MinerPipeline:
         return report
 
     def run(self, store: EntityStore) -> PipelineReport:
-        """Run over every entity in the store, writing results back."""
+        """Run over every entity in the store, writing each back as it finishes."""
         report = PipelineReport()
         for entity in list(store.scan()):
-            self.process_entity(entity, report)
+            self.process_batch([entity], report)
             store.store(entity)
-        return report
-
-    def run_over(self, entities: Iterable[Entity]) -> PipelineReport:
-        """Run over an entity stream without a store (annotates in place)."""
-        report = PipelineReport()
-        for entity in entities:
-            self.process_entity(entity, report)
         return report
 
 

@@ -41,7 +41,7 @@ from ..obs import Obs
 from .cluster import Cluster, ClusterRunReport
 from .datastore import DataStore
 from .faults import FaultPlan
-from .miners import CorpusMiner, MinerPipeline
+from ..core.mining import CorpusMiner, MinerPipeline
 from .retry import RetryPolicy
 
 T = TypeVar("T")

@@ -40,7 +40,7 @@ from ..obs import Obs
 from ..obs.context import with_trace
 from .datastore import DataStore
 from .faults import FaultPlan
-from .miners import CorpusMiner, MinerPipeline, PipelineReport
+from ..core.mining import CorpusMiner, MinerPipeline, PipelineReport
 from .retry import RetryPolicy
 from .vinci import VinciBus, VinciError
 

@@ -1,22 +1,27 @@
 """Batched stage loops must be invisible: same bytes out, fewer passes.
 
-Every batched entry point added for the hot path — the analyzer's
-``analyze_batch``, the miner's ``mine_batch``, and the platform
-pipeline's ``process_batch`` — is asserted byte-identical to its
-unbatched counterpart, document by document and annotation by
-annotation.  The chaos-marked test goes further: a replicated cluster
-running the *batched* pipeline under a seeded node death must leave
-exactly the same per-entity sentiment annotations as a fault-free,
-entity-at-a-time baseline.
+Every batched entry point on the hot path — the miner's ``mine_batch``
+and the platform pipeline's ``process_batch`` — is asserted
+byte-identical to its unbatched counterpart, document by document and
+annotation by annotation, whatever the batch boundaries.  The adapter
+chain the cluster runs must judge polar spots exactly as the miner
+does.  The chaos-marked test goes further: a replicated cluster running
+the *batched* pipeline under a seeded node death must leave exactly the
+same per-entity sentiment annotations as a fault-free, entity-at-a-time
+baseline.
 """
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Subject
-from repro.core.analyzer import SentimentAnalyzer
+from repro.core.context import ContextWindowRule
 from repro.core.disambiguation import Disambiguator, TopicTermSet
-from repro.core.miner import SentimentMiner
-from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
+from repro.core.miner import MiningResult, SentimentMiner
+from repro.corpora import DIGITAL_CAMERA, PETROLEUM, ReviewGenerator, WebPageGenerator
 from repro.miners import (
     DisambiguatorMiner,
     SentimentEntityMiner,
@@ -25,6 +30,7 @@ from repro.miners import (
 )
 from repro.miners.base import SENTIMENT_LAYER
 from repro.obs import Obs
+from repro.obs.audit import CONTEXT_WINDOW, SENTIMENT
 from repro.platform import Cluster, DataStore, Entity, FaultPlan, MinerPipeline
 
 NODES = 4
@@ -43,31 +49,26 @@ def camera_subjects() -> list[Subject]:
     ]
 
 
-def camera_miner(obs: Obs | None = None) -> SentimentMiner:
+def camera_miner(
+    obs: Obs | None = None, context_rule: ContextWindowRule | None = None
+) -> SentimentMiner:
     terms = TopicTermSet.build(
         on_topic=list(DIGITAL_CAMERA.features) + ["camera", "photo", "picture"]
     )
     return SentimentMiner(
         subjects=camera_subjects(),
         disambiguator=Disambiguator(terms),
+        context_rule=context_rule,
         obs=obs if obs is not None else Obs.default(),
     )
 
 
-class TestAnalyzeBatch:
-    def test_matches_per_document_analyze_text(self):
-        documents = camera_documents(8)
-        subjects = camera_subjects()
-        batched = SentimentAnalyzer().analyze_batch(documents, subjects)
-        single = SentimentAnalyzer()
-        unbatched = [
-            single.analyze_text(text, subjects, document_id)
-            for document_id, text in documents
-        ]
-        assert batched == unbatched
-
-    def test_empty_batch(self):
-        assert SentimentAnalyzer().analyze_batch([], camera_subjects()) == []
+def mining_record(result: MiningResult) -> tuple:
+    return (
+        result.judgments,
+        result.stats,
+        [entry.to_record() for entry in result.audit],
+    )
 
 
 class TestMineBatch:
@@ -95,6 +96,109 @@ class TestMineBatch:
         result = camera_miner().mine_batch([])
         assert result.judgments == []
         assert result.stats.documents == 0
+
+
+#: The context window reaches one sentence ahead, so a spot left neutral
+#: can inherit a pronoun's polarity from the next sentence.
+WINDOW = ContextWindowRule(0, 1)
+SPLIT_DOCS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def windowed_corpus_record() -> tuple:
+    result = camera_miner(Obs.enabled(), WINDOW).mine_corpus(camera_documents(SPLIT_DOCS))
+    return mining_record(result)
+
+
+class TestBatchSplits:
+    def test_corpus_exercises_context_window(self):
+        _, _, audit = windowed_corpus_record()
+        assert any(record["reason"] == CONTEXT_WINDOW for record in audit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(min_value=0, max_value=SPLIT_DOCS), max_size=SPLIT_DOCS + 2)
+    )
+    def test_any_consecutive_split_matches_mine_corpus(self, cuts):
+        # Repeated cuts make empty batches; adjacent cuts make batches of one.
+        documents = camera_documents(SPLIT_DOCS)
+        bounds = [0, *sorted(cuts), SPLIT_DOCS]
+        miner = camera_miner(Obs.enabled(), WINDOW)
+        total = MiningResult()
+        for lo, hi in zip(bounds, bounds[1:]):
+            result = miner.mine_batch(documents[lo:hi])
+            total.judgments.extend(result.judgments)
+            total.stats.merge(result.stats)
+            total.audit.extend(result.audit)
+        assert mining_record(total) == windowed_corpus_record()
+
+
+def petroleum_documents(count: int = 8, seed: int = 2005) -> list[tuple[str, str]]:
+    pages = WebPageGenerator(PETROLEUM, seed=seed).generate_pages(count)
+    return [(page.doc_id, page.text) for page in pages]
+
+
+def polar_tuples(judgments) -> list[tuple]:
+    return [
+        (j.spot.document_id, j.subject_name, j.spot.start, j.spot.end, j.polarity.value)
+        for j in judgments
+        if j.polarity.is_polar
+    ]
+
+
+def polar_audit(audit) -> list[dict]:
+    return [
+        entry.to_record()
+        for entry in audit
+        if entry.kind == SENTIMENT and entry.decision != "0"
+    ]
+
+
+class TestAdapterPipelineMatchesMiner:
+    """The cluster's adapter chain and the miner judge the same way."""
+
+    @pytest.mark.parametrize(
+        "documents, subjects, on_topic",
+        [
+            (
+                camera_documents(12),
+                camera_subjects(),
+                list(DIGITAL_CAMERA.features) + ["camera", "photo", "picture"],
+            ),
+            (
+                petroleum_documents(),
+                [Subject(name) for name in (*PETROLEUM.products, *PETROLEUM.features)],
+                list(PETROLEUM.features),
+            ),
+        ],
+        ids=["camera", "petroleum"],
+    )
+    def test_polar_output_and_audit_match_mine_corpus(self, documents, subjects, on_topic):
+        terms = TopicTermSet.build(on_topic=on_topic)
+        miner_obs, adapter_obs = Obs.enabled(), Obs.enabled()
+        mined = SentimentMiner(
+            subjects=subjects, disambiguator=Disambiguator(terms), obs=miner_obs
+        ).mine_corpus(documents)
+
+        pipeline = MinerPipeline(
+            [
+                TokenizerMiner(),
+                SpotterMiner(subjects),
+                DisambiguatorMiner(Disambiguator(terms)),
+                SentimentEntityMiner(polar_only=True, obs=adapter_obs),
+            ]
+        )
+        entities = [Entity(entity_id=doc_id, content=text) for doc_id, text in documents]
+        pipeline.process_batch(entities)
+        adapted = [
+            (entity.entity_id, a.attribute("subject"), a.span.start, a.span.end, a.label)
+            for entity in entities
+            for a in entity.layer(SENTIMENT_LAYER)
+        ]
+
+        assert polar_tuples(mined.judgments)
+        assert adapted == polar_tuples(mined.judgments)
+        assert polar_audit(adapter_obs.audit) == polar_audit(mined.audit)
 
 
 def sentiment_pipeline() -> MinerPipeline:

@@ -18,7 +18,7 @@ from repro.miners import (
 )
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Entity
-from repro.platform.miners import MinerPipeline, run_corpus_miner
+from repro.core.mining import MinerPipeline, run_corpus_miner
 
 TEXT = "The camera takes excellent pictures. The battery life is disappointing."
 

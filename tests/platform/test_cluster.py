@@ -5,7 +5,7 @@ import pytest
 from repro.platform.cluster import Cluster
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Annotation, Entity
-from repro.platform.miners import CorpusMiner, EntityMiner, MinerPipeline
+from repro.core.mining import CorpusMiner, EntityMiner, MinerPipeline
 
 
 class Marker(EntityMiner):

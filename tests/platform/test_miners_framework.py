@@ -4,7 +4,7 @@ import pytest
 
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Annotation, Entity
-from repro.platform.miners import (
+from repro.core.mining import (
     CorpusMiner,
     EntityMiner,
     MinerPipeline,
@@ -80,9 +80,9 @@ class TestPipelineExecution:
         entity = store.get("d0")
         assert entity.has_layer("shout")
 
-    def test_run_over_stream(self):
+    def test_process_batch_annotates_in_place(self):
         entities = [Entity(entity_id="x", content="Abc")]
-        report = MinerPipeline([UppercaseCounter()]).run_over(entities)
+        report = MinerPipeline([UppercaseCounter()]).process_batch(entities)
         assert report.entities_processed == 1
         assert entities[0].layer("upper")[0].label == "1"
 
@@ -102,11 +102,11 @@ class TestPipelineExecution:
         pipeline = MinerPipeline([UppercaseCounter(), NeedsUpper()], strict=False)
         entity2 = Entity(entity_id="y", content="abc")
         entity2.clear_layer("upper")
-        report = pipeline.run_over([entity])
+        report = pipeline.process_batch([entity])
         assert report.entities_processed == 1
 
     def test_report_merge(self):
-        from repro.platform.miners import PipelineReport
+        from repro.core.mining import PipelineReport
 
         a = PipelineReport(entities_processed=2, miner_runs={"m": 2})
         b = PipelineReport(entities_processed=3, miner_runs={"m": 1, "n": 3})
@@ -123,25 +123,3 @@ class TestCorpusMiner:
 
     def test_empty_store(self):
         assert run_corpus_miner(WordCounter(), DataStore(num_partitions=2)) == 0
-
-
-class TestShimSurface:
-    """The platform shim re-exports only what is imported through it."""
-
-    def test_store_protocols_come_from_core_not_the_shim(self):
-        # Trimmed via lint DEAD001: nothing imported the store protocols
-        # through the platform shim, so the re-export was dropped.
-        import repro.platform.miners as shim
-        from repro.core.mining import EntityPartition, EntityStore
-
-        assert "EntityStore" not in shim.__all__
-        assert "EntityPartition" not in shim.__all__
-        assert not hasattr(shim, "EntityStore")
-        assert EntityStore is not None and EntityPartition is not None
-
-    def test_remaining_reexports_match_core(self):
-        import repro.core.mining as core
-        import repro.platform.miners as shim
-
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(core, name)

@@ -1,11 +1,11 @@
 """Reference (naive) hot-path implementations for differential testing.
 
-The production pipeline runs an Aho–Corasick subject spotter, a bounded
-parse memo, and batched stage loops.  Each of those is an *optimization*
-of a simpler implementation whose semantics define correctness.  This
-module keeps the simple implementations alive so tests and benchmarks
-can assert, input by input, that the optimized path is byte-identical
-to the reference path:
+The production pipeline runs an Aho–Corasick subject spotter and
+bounded split/tag/parse memos.  Each of those is an *optimization* of a
+simpler implementation whose semantics define correctness.  This module
+keeps the simple implementations alive so tests and benchmarks can
+assert, input by input, that the optimized path is byte-identical to
+the reference path:
 
 * :class:`ReferenceSubjectSpotter` — the original n-gram window scanner
   (one dict probe per (position, length) pair), sharing the production
@@ -14,8 +14,14 @@ to the reference path:
 * :func:`reference_analyzer` — a :class:`SentimentAnalyzer` with parse
   memoisation disabled, so every sentence is parsed from scratch;
 * :func:`reference_miner` — a mode-A :class:`SentimentMiner` wired to
-  both of the above; drive it with ``mine_corpus`` (the unbatched,
-  re-enter-the-stack-per-document loop) for the full reference run.
+  both of the above, with the split memo off too; drive it with
+  ``mine_corpus`` for the full reference run.
+
+:class:`SentimentMiner` has one Mode A engine, so the reference miner
+runs the same stage loop as the production one.  Its independence rests
+on the naive spotter and the disabled memos, not on a second loop; the
+loop itself is pinned by the golden fixtures and by the batch-split
+property in ``tests/integration/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
