@@ -17,7 +17,8 @@ simulated throughput falls below ``DOCS_PER_SIM_SEC_FLOOR``.  The
 engine charges stage cost once per stage per call (spot and analyze
 here; the split is uncharged), not per document, so the sim-clock
 series is deterministic: 80 documents over 0.5 sim-sec.  Results go to
-``BENCH_throughput.json`` so CI can track both ratios over time.
+``BENCH_throughput.json`` so CI can track both ratios over time, with
+the optimized run's split/tag/parse memo hit ratios beside them.
 """
 
 import json
@@ -82,7 +83,17 @@ def _optimized_run(documents, subjects):
     miner = SentimentMiner(subjects=subjects, obs=obs)
     start = time.perf_counter()
     result = miner.mine_batch(documents)
-    return time.perf_counter() - start, obs.clock.now, result
+    return time.perf_counter() - start, obs.clock.now, result, _memo_hit_ratios(obs)
+
+
+def _memo_hit_ratios(obs) -> dict[str, float]:
+    """Hit ratio of each nlp memo, from the counters the miner publishes."""
+    ratios = {}
+    for memo in ("split", "tag", "parse"):
+        hits = obs.metrics.value("nlp.memo_hits", memo=memo)
+        misses = obs.metrics.value("nlp.memo_misses", memo=memo)
+        ratios[memo] = hits / (hits + misses) if hits + misses else 0.0
+    return ratios
 
 
 def test_bench_throughput():
@@ -95,9 +106,12 @@ def test_bench_throughput():
     ref_result = opt_result = None
     ratios = []
     ref_sim = opt_sim = 0.0
+    memo_hit_ratios = {}
     for _ in range(ROUNDS):
         ref_elapsed, ref_sim, ref_result = _reference_run(documents, subjects)
-        opt_elapsed, opt_sim, opt_result = _optimized_run(documents, subjects)
+        opt_elapsed, opt_sim, opt_result, memo_hit_ratios = _optimized_run(
+            documents, subjects
+        )
         ref_best = min(ref_best, ref_elapsed)
         opt_best = min(opt_best, opt_elapsed)
         ratios.append(ref_elapsed / opt_elapsed)
@@ -126,6 +140,7 @@ def test_bench_throughput():
         "reference_docs_per_sim_sec": ref_docs_per_sim_sec,
         "optimized_docs_per_sim_sec": opt_docs_per_sim_sec,
         "docs_per_sim_sec_floor": DOCS_PER_SIM_SEC_FLOOR,
+        "memo_hit_ratios": memo_hit_ratios,
     }
     with open(OUT_PATH, "w", encoding="utf-8") as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
@@ -138,6 +153,10 @@ def test_bench_throughput():
                 ["reference (naive)", f"{ref_best:.4f}", f"{ref_docs_per_sim_sec:.1f}"],
                 ["optimized (AC+memo+batch)", f"{opt_best:.4f}", f"{opt_docs_per_sim_sec:.1f}"],
                 ["median speedup", f"{speedup:.2f}x", ""],
+                *[
+                    [f"{memo} memo hit ratio", f"{ratio:.3f}", ""]
+                    for memo, ratio in memo_hit_ratios.items()
+                ],
             ],
             title=f"hot-path throughput ({docs} docs, {ROUNDS} paired rounds)",
         )

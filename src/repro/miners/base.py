@@ -16,6 +16,8 @@ downstream miners never re-tokenize.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ..core.model import Spot, Subject
 from ..nlp.tokens import Sentence, TaggedSentence, TaggedToken, Token
 from ..core.entity import Annotation, Entity
@@ -37,14 +39,27 @@ def tokens_from(entity: Entity) -> list[Token]:
 
 
 def sentences_from(entity: Entity) -> list[Sentence]:
-    """Rebuild sentences by grouping tokens under ``sentence`` spans."""
-    tokens = tokens_from(entity)
-    sentences: list[Sentence] = []
-    for annotation in entity.layer(SENTENCE_LAYER):
-        covered = [t for t in tokens if annotation.span.contains(t.span)]
-        if covered:
-            sentences.append(Sentence(covered, index=int(annotation.label)))
-    return sentences
+    """Rebuild sentences by grouping tokens under ``sentence`` spans.
+
+    Sentence spans are disjoint, so a token belongs to at most one: the
+    last sentence starting at or before it, if that one also covers its
+    end.  One pass over the tokens files each under its sentence.
+    """
+    annotations = entity.layer(SENTENCE_LAYER)
+    order = sorted(range(len(annotations)), key=lambda k: annotations[k].span.start)
+    starts = [annotations[k].span.start for k in order]
+    groups: list[list[Token]] = [[] for _ in annotations]
+    for token in tokens_from(entity):
+        position = bisect_right(starts, token.start) - 1
+        if position >= 0:
+            k = order[position]
+            if token.end <= annotations[k].span.end:
+                groups[k].append(token)
+    return [
+        Sentence(group, index=int(annotation.label))
+        for annotation, group in zip(annotations, groups)
+        if group
+    ]
 
 
 def tagged_sentences_from(entity: Entity) -> list[TaggedSentence]:

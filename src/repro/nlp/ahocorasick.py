@@ -25,7 +25,7 @@ n-gram spotter (see ``tests/support/reference.py``):
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 
 class TokenAutomaton:
@@ -113,12 +113,13 @@ class TokenAutomaton:
 
     # -- matching -----------------------------------------------------------
 
-    def iter_matches(self, symbols: Iterable[str]) -> Iterator[tuple[int, int, Any]]:
-        """Yield every match as ``(start, length, payload)``.
+    def longest_starts(self, symbols: list[str]) -> dict[int, tuple[int, Any]]:
+        """Longest match per start position: ``{start: (length, payload)}``.
 
-        Matches are produced in order of their *end* position; at a given
-        end position longer matches come first.  All overlaps are
-        reported — filtering is the caller's policy.
+        One left-to-right walk of the automaton.  A match ending at
+        position *p* that starts at *s* has length ``p - s + 1``, so a
+        later match from the same start is always the longer one and
+        simply replaces the earlier.
         """
         if not self._compiled:
             raise RuntimeError("compile() must run before matching")
@@ -126,6 +127,7 @@ class TokenAutomaton:
         fail = self._fail
         out = self._out
         olink = self._olink
+        best: dict[int, tuple[int, Any]] = {}
         state = 0
         for position, symbol in enumerate(symbols):
             while state and symbol not in goto[state]:
@@ -133,17 +135,9 @@ class TokenAutomaton:
             state = goto[state].get(symbol, 0)
             s = state if out[state] is not None else olink[state]
             while s:
-                length, payload = out[s]  # type: ignore[misc]
-                yield position - length + 1, length, payload
+                hit = out[s]
+                best[position - hit[0] + 1] = hit  # type: ignore[index]
                 s = olink[s]
-
-    def longest_starts(self, symbols: list[str]) -> dict[int, tuple[int, Any]]:
-        """Longest match per start position: ``{start: (length, payload)}``."""
-        best: dict[int, tuple[int, Any]] = {}
-        for start, length, payload in self.iter_matches(symbols):
-            known = best.get(start)
-            if known is None or length > known[0]:
-                best[start] = (length, payload)
         return best
 
     def leftmost_longest(self, symbols: list[str]) -> list[tuple[int, int, Any]]:

@@ -46,10 +46,15 @@ NEGATIVE_ADVERBS = frozenset("not n't never hardly seldom rarely scarcely barely
 NEGATIVE_DETERMINERS = frozenset({"no"})
 
 #: Tokens that open a new clause.
-_CLAUSE_BREAK_WORDS = frozenset(
+CLAUSE_BREAK_WORDS = frozenset(
     "because although though while whereas unless if since when after before "
     "which who whom that whether".split()
 )
+
+
+def is_negator(tok: TaggedToken) -> bool:
+    """A negative adverb, or a negative determiner at a determiner position."""
+    return tok.lower in NEGATIVE_ADVERBS or (tok.lower in NEGATIVE_DETERMINERS and tok.tag == "DT")
 
 
 @dataclass(frozen=True)
@@ -131,10 +136,20 @@ class ShallowParser:
 
     def parse(self, sentence: TaggedSentence) -> SentenceParse:
         """Parse *sentence* into clauses with phrase roles."""
-        segments = self._segment(sentence)
-        clauses: list[Clause] = []
+        return SentenceParse(sentence, [clause for clause, _ in self.parse_clauses(sentence)])
+
+    def parse_clauses(self, sentence: TaggedSentence) -> list[tuple[Clause, tuple[int, int]]]:
+        """The clauses of *sentence*, each with its segment's token range.
+
+        The range is the ``[start, end)`` token-index slice of the clause
+        segment the clause was parsed from: the scope
+        :meth:`is_negated` scans for negators.
+        """
+        tokens = sentence.tokens
+        clauses: list[tuple[Clause, tuple[int, int]]] = []
         pending_pps: list[PrepPhrase] = []
-        for segment in segments:
+        for bounds in self._segment(sentence):
+            segment = tokens[bounds[0] : bounds[1]]
             clause = self._parse_segment(segment)
             if clause is None:
                 # Verbless segment ("Unlike the T series CLIEs, ..."):
@@ -144,48 +159,44 @@ class ShallowParser:
             if pending_pps:
                 clause.prep_phrases = pending_pps + clause.prep_phrases
                 pending_pps = []
-            clauses.append(clause)
+            clauses.append((clause, bounds))
         # A coordinated clause with no subject of its own inherits the
         # previous clause's subject ("The zoom is fast and works well").
-        for prev, cur in zip(clauses, clauses[1:]):
+        for (prev, _), (cur, _) in zip(clauses, clauses[1:]):
             if cur.subject is None:
                 cur.subject = prev.subject
-        return SentenceParse(sentence, clauses)
+        return clauses
 
     # -- clause segmentation ---------------------------------------------------
 
-    def _segment(self, sentence: TaggedSentence) -> list[list[TaggedToken]]:
+    def _segment(self, sentence: TaggedSentence) -> list[tuple[int, int]]:
         """Split the token stream into clause segments.
 
         A boundary opens before a subordinator/relativizer, and at a
         coordinating conjunction or comma/semicolon *only if* the remainder
         contains its own verb group (otherwise "fast and light" would be
-        split apart).
+        split apart).  Each segment is returned as its ``[start, end)``
+        token-index range; a conjunction or comma that opens a boundary
+        belongs to no segment.
         """
         tokens = sentence.tokens
-        segments: list[list[TaggedToken]] = []
-        current: list[TaggedToken] = []
-        i = 0
-        n = len(tokens)
-        while i < n:
-            tok = tokens[i]
-            is_break = False
-            if tok.lower in _CLAUSE_BREAK_WORDS and (
+        segments: list[tuple[int, int]] = []
+        start = 0
+        for i, tok in enumerate(tokens):
+            is_break = dropped = False
+            if tok.lower in CLAUSE_BREAK_WORDS and (
                 tok.tag in {"IN", "DT"} or tok.tag in penn.WH_TAGS
             ):
                 is_break = self._has_verb_ahead(tokens, i + 1)
             elif tok.tag == "CC" or tok.text in {",", ";", ":"}:
-                is_break = self._starts_new_clause(tokens, i + 1)
-            if is_break and current:
-                segments.append(current)
-                current = []
-                if tok.tag == "CC" or tok.text in {",", ";", ":"}:
-                    i += 1  # drop the conjunction/punctuation itself
-                    continue
-            current.append(tok)
-            i += 1
-        if current:
-            segments.append(current)
+                is_break = dropped = self._starts_new_clause(tokens, i + 1)
+            if is_break and i > start:
+                segments.append((start, i))
+                # The conjunction/punctuation itself is dropped; a
+                # subordinator opens the next segment.
+                start = i + 1 if dropped else i
+        if len(tokens) > start:
+            segments.append((start, len(tokens)))
         return segments
 
     @staticmethod
@@ -232,9 +243,9 @@ class ShallowParser:
         if not verb_groups:
             return None
         predicate = verb_groups[0]
-        lemma = self._predicate_lemma(predicate)
+        lemma = self.predicate_lemma(predicate)
         clause = Clause(predicate=predicate, predicate_lemma=lemma)
-        clause.negated = self._is_negated(tokens, predicate)
+        clause.negated = self.is_negated(tokens, predicate)
         clause.hypothetical = tokens[0].lower in {"if", "unless", "whether"}
 
         noun_phrases = self._chunker.noun_phrases(sub)
@@ -293,7 +304,7 @@ class ShallowParser:
             return prev.lower
         return None
 
-    def _predicate_lemma(self, predicate: Chunk) -> str:
+    def predicate_lemma(self, predicate: Chunk) -> str:
         """Lemma of the semantic head verb of the group.
 
         For auxiliary chains the head is the last verb ("has been
@@ -302,13 +313,17 @@ class ShallowParser:
         impressed" → impress).
         """
         verbs = [t for t in predicate.tokens if t.tag in penn.VERB_TAGS]
-        if not verbs:  # modal-only group, e.g. "can"
-            return predicate.tokens[-1].lower
-        head = verbs[-1]
-        return self._lemmatizer.lemmatize(head.text, head.tag)
+        # A modal-only group ("can") is headed by its last token.
+        return self.head_lemma(verbs[-1] if verbs else predicate.tokens[-1])
+
+    def head_lemma(self, head: TaggedToken) -> str:
+        """Predicate lemma of a verb group headed by *head* (a verb or modal)."""
+        if head.tag in penn.VERB_TAGS:
+            return self._lemmatizer.lemmatize(head.text, head.tag)
+        return head.lower
 
     @staticmethod
-    def _is_negated(tokens: list[TaggedToken], predicate: Chunk) -> bool:
+    def is_negated(tokens: list[TaggedToken], predicate: Chunk) -> bool:
         """Negative adverb in/around the verb group, or a negative
         determiner at a determiner position beside it.
 
@@ -321,10 +336,7 @@ class ShallowParser:
             if tok.lower in NEGATIVE_ADVERBS:
                 return True
         for tok in tokens:
-            negative = tok.lower in NEGATIVE_ADVERBS or (
-                tok.lower in NEGATIVE_DETERMINERS and tok.tag == "DT"
-            )
-            if negative and (
+            if is_negator(tok) and (
                 predicate.span.start - 24 <= tok.start < predicate.span.start
                 or predicate.span.end <= tok.start <= predicate.span.end + 1
             ):

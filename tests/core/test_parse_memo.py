@@ -2,22 +2,26 @@
 
 The memo (:mod:`repro.nlp.parse_cache`) may only ever change *speed*,
 never output.  These tests pin the three properties that make that
-true: a memo hit materialises a parse identical to a fresh parse, the
-LRU bound actually bounds the cache, and nothing cached carries
-document identity — the same sentence mined under different document
-ids, sentence indices, or character offsets yields judgments that each
-carry their *own* identity.
+true: a memo hit materialises a parse identical to a fresh parse — also
+when the hit is a different sentence of the same shape — the LRU bound
+actually bounds the cache, and nothing cached carries document identity
+— the same sentence mined under different document ids, sentence
+indices, or character offsets yields judgments that each carry their
+*own* identity.
 """
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analyzer import SentimentAnalyzer
 from repro.core.miner import SentimentMiner
 from repro.core.model import Subject
-from repro.nlp.parse_cache import ParseMemo, sentence_signature
+from repro.nlp.parse_cache import ParseMemo
 from repro.nlp.parser import ShallowParser
 from repro.nlp.postagger import PosTagger
 from repro.nlp.sentences import SentenceSplitter
 from repro.nlp.tokenizer import Tokenizer
-from repro.nlp.tokens import TaggedSentence
+from repro.nlp.tokens import TaggedSentence, TaggedToken, Token
 
 
 def tag_text(text: str) -> list[TaggedSentence]:
@@ -41,7 +45,7 @@ class TestMemoEquivalence:
 
     def test_shift_invariance_across_offsets(self):
         # The same sentence text at two different character positions:
-        # one signature, one parse slot, and the materialised hit carries
+        # one shape, one parse slot, and the materialised hit carries
         # the *caller's* offsets, not the first occurrence's.
         parser = ShallowParser()
         memo = ParseMemo(parser, maxsize=8)
@@ -49,7 +53,7 @@ class TestMemoEquivalence:
         [shifted_a] = tag_text(sentence)
         prefix, shifted_b = tag_text("I bought it. " + sentence)
 
-        assert sentence_signature(shifted_a) == sentence_signature(shifted_b)
+        assert memo.shape(shifted_a) == memo.shape(shifted_b)
         assert shifted_a.tokens[0].start != shifted_b.tokens[0].start
 
         memo.parse(shifted_a)
@@ -58,6 +62,56 @@ class TestMemoEquivalence:
         assert parse_b == parser.parse(shifted_b)
         # Offsets in the materialised parse belong to shifted_b.
         assert parse_b.clauses[0].predicate.tokens[0].start > prefix.tokens[0].start
+
+    def test_same_shape_different_text_hits(self):
+        # Different words under one tag sequence: one slot, and the hit
+        # carries the caller's own words and predicate lemma.
+        parser = ShallowParser()
+        memo = ParseMemo(parser, maxsize=8)
+        [first] = tag_text("The camera produces excellent pictures.")
+        [second] = tag_text("The lens gives sharp images.")
+
+        assert memo.shape(first) == memo.shape(second)
+        memo.parse(first)
+        parse, cached = memo.parse_with_status(second)
+        assert cached
+        assert parse == parser.parse(second)
+        assert parse.clauses[0].predicate_lemma == "give"
+
+    def test_copular_and_transitive_verbs_do_not_share_a_slot(self):
+        # Same tags (DT NN VBZ DT NN .), but a copular verb makes the
+        # post-verbal NP its complement and a transitive one its object.
+        parser = ShallowParser()
+        memo = ParseMemo(parser, maxsize=8)
+        [copular] = tag_text("The camera looks a bargain.")
+        [transitive] = tag_text("The camera takes a picture.")
+        assert copular.tags == transitive.tags
+
+        memo.parse(copular)
+        parse, cached = memo.parse_with_status(transitive)
+        assert not cached
+        assert parse == parser.parse(transitive)
+        [clause] = parse.clauses
+        assert clause.complement is None
+        assert [o.text for o in clause.objects] == ["a picture"]
+
+    def test_negation_is_recomputed_for_the_caller(self):
+        # One shape; the determiner "no" sits inside the 24-character
+        # window before the verb in the first sentence, outside it in
+        # the second.  A negator in one clause never negates the next.
+        parser = ShallowParser()
+        memo = ParseMemo(parser, maxsize=8)
+        for first, second, negated in (
+            ("No cheap lens works.", "No expensive photographer works.", [False]),
+            ("The zoom is not bad and works.", "The lens is not great and focuses.", [True, False]),
+        ):
+            [a] = tag_text(first)
+            [b] = tag_text(second)
+            memo.parse(a)
+            parse, cached = memo.parse_with_status(b)
+            assert cached
+            assert parse == parser.parse(b)
+            assert [clause.negated for clause in parse.clauses] == negated
 
     def test_disabled_memo_never_caches(self):
         parser = ShallowParser()
@@ -71,12 +125,127 @@ class TestMemoEquivalence:
         assert memo.hits == 0 and memo.misses == 0
 
 
+#: Words per template slot; a slot is a tag, or ``tag/kind`` where one
+#: tag has two word classes.  Open-class pools vary in length, so the
+#: negation window's 24 characters fall on both sides of a negator; the
+#: verb pools mix copular and transitive verbs; closed-class pools vary
+#: the text the shape keys on.
+_WORDS_BY_SLOT = {
+    "DT": ("the", "a", "this", "no"),
+    "NN": ("ui", "zoom", "camera", "bargain", "picture", "photographer", "responsiveness"),
+    "NNS": ("pictures", "lenses", "manufacturers"),
+    "NNP": ("Sony", "Nikon"),
+    "JJ": ("bad", "great", "expensive", "disappointing", "extraordinary"),
+    "RB": ("well", "really", "never", "not", "hardly", "quickly", "surprisingly"),
+    "VBZ": ("is", "looks", "seems", "becomes", "takes", "produces", "works", "gets"),
+    "VBD": ("was", "looked", "remained", "took", "produced", "failed"),
+    "VB": ("be", "look", "stay", "take", "produce", "work"),
+    "VBN": ("been", "improved", "taken"),
+    "VBG": ("being", "looking", "taking"),
+    "MD": ("can", "will", "should"),
+    "IN": ("of", "in", "with", "for", "on"),
+    "IN/sub": ("because", "if", "that", "although", "unless"),
+    "TO": ("to",),
+    "CC": ("and", "but"),
+    "PRP": ("it", "they"),
+    ",": (",",),
+    ".": (".",),
+}
+
+#: Sentence templates as slot sequences: copular-or-transitive verb plus
+#: NP, negators before and after the verb, a modal-only group, an
+#: auxiliary chain, PPs, and coordinated and subordinate clauses (with a
+#: negator in one clause near the next clause's verb).
+_TEMPLATES = (
+    "DT NN VBZ DT NN .",
+    "DT JJ NN NN VBZ DT NN .",
+    "DT NN VBZ RB DT NN .",
+    "DT NN RB VBZ JJ .",
+    "DT NN VBD DT NN IN DT NN .",
+    "PRP MD RB .",
+    "DT NN MD VB DT NN .",
+    "DT NN VBZ VBN IN NNS .",
+    "IN/sub DT NN VBZ JJ , DT NN VBZ DT NN .",
+    "DT NN VBZ JJ CC VBZ DT NN .",
+    "DT NN VBZ RB JJ CC VBZ .",
+    "DT NN IN NNP VBZ TO DT NN .",
+    "DT NN VBZ DT NN IN/sub PRP VBD JJ .",
+    "PRP VBD RB JJ IN/sub PRP VBZ RB .",
+    "DT NN VBZ JJ IN DT NN .",
+    "DT NN IN DT NN VBZ JJ .",
+    "IN DT NN , DT NN VBZ JJ .",
+    "PRP VBZ TO VB DT NN IN NNS .",
+)
+
+#: Mostly templates, sometimes any slot sequence at all.
+_template = st.one_of(
+    *[st.sampled_from(_TEMPLATES).map(str.split)] * 3,
+    st.lists(st.sampled_from(sorted(_WORDS_BY_SLOT)), min_size=2, max_size=12),
+)
+
+
+@st.composite
+def same_shape_pair(draw) -> tuple[TaggedSentence, TaggedSentence]:
+    """Two tagged sentences over one slot sequence with independent words.
+
+    The second redraws the words of a drawn set of slots, often small
+    (so a pair can differ in one closed-class word alone).  Both draw their
+    own spacing (one to three spaces before each token, none before the
+    first), so negator-to-verb distances differ.
+    """
+    slots = draw(_template)
+
+    def build(words: list[str]) -> TaggedSentence:
+        tokens, position = [], 0
+        for i, (word, slot) in enumerate(zip(words, slots)):
+            position += draw(st.integers(1, 3)) if i else 0
+            token = Token(word, position, position + len(word))
+            tokens.append(TaggedToken(token, slot.split("/")[0]))
+            position += len(word)
+        return TaggedSentence(tokens)
+
+    first = [draw(st.sampled_from(_WORDS_BY_SLOT[slot])) for slot in slots]
+    changed = draw(st.sets(st.sampled_from(range(len(slots))), min_size=1))
+    second = [
+        draw(st.sampled_from(_WORDS_BY_SLOT[slot])) if i in changed else word
+        for i, (word, slot) in enumerate(zip(first, slots))
+    ]
+    return build(first), build(second)
+
+
+class TestShapeHits:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=same_shape_pair())
+    def test_shape_hit_equals_fresh_parse(self, pair):
+        # Compared clause by clause so a failure names the field.
+        first, second = pair
+        parser = ShallowParser()
+        memo = ParseMemo(parser, maxsize=8)
+        memo.parse(first)
+        parse, cached = memo.parse_with_status(second)
+        assert cached == (memo.shape(first) == memo.shape(second))
+        fresh = parser.parse(second)
+        assert len(parse.clauses) == len(fresh.clauses)
+        for got, want in zip(parse.clauses, fresh.clauses):
+            assert got.predicate == want.predicate
+            assert got.predicate_lemma == want.predicate_lemma
+            assert got.negated == want.negated
+            assert got.subject == want.subject
+            assert got.objects == want.objects
+            assert got.complement == want.complement
+            assert got.prep_phrases == want.prep_phrases
+            assert got.hypothetical == want.hypothetical
+        assert parse == fresh
+
+
 class TestMemoBounds:
     def test_lru_bound_respected(self):
         memo = ParseMemo(ShallowParser(), maxsize=4)
+        # One more adverb each time: ten distinct shapes.
         sentences = [
-            tag_text(f"The camera model number {i} works well.")[0] for i in range(10)
+            tag_text("The camera " + "really " * i + "works.")[0] for i in range(10)
         ]
+        assert len({memo.shape(tagged) for tagged in sentences}) == 10
         for tagged in sentences:
             memo.parse(tagged)
             assert len(memo) <= 4
@@ -86,9 +255,10 @@ class TestMemoBounds:
         memo = ParseMemo(ShallowParser(), maxsize=2)
         a, b, c = (
             tag_text("The camera is great.")[0],
-            tag_text("The battery is bad.")[0],
-            tag_text("The zoom is fine.")[0],
+            tag_text("I love the zoom.")[0],
+            tag_text("It works.")[0],
         )
+        assert len({memo.shape(a), memo.shape(b), memo.shape(c)}) == 3
         memo.parse(a)
         memo.parse(b)
         memo.parse(a)  # refresh a; b is now LRU

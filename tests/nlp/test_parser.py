@@ -126,7 +126,7 @@ class TestNegation:
     def test_determiner_no_negates_through_the_object(self):
         # Paper Section 4.2: "has no flaws" negates the predicate through
         # its object.  Found via lint DEAD001 — NEGATIVE_DETERMINERS was
-        # defined but never consulted by _is_negated.
+        # defined but never consulted by is_negated.
         assert main_clause("The camera has no flaws.").negated
 
     def test_determiner_no_negates_from_the_subject(self):
