@@ -86,13 +86,15 @@ bench-lint:
 bench-recovery:
 	cd benchmarks && PYTHONPATH=../src python -m pytest -q bench_recovery.py
 
-# Paper-facing results at default scale: Tables 2-5, feature precision
-# and the ablations.  Fails if a reproduced number leaves its band or a
-# claimed ordering between methods breaks.
+# Paper-facing results at default scale: Tables 2-5, Figures 1-5,
+# feature precision and the ablations.  Fails if a reproduced number
+# leaves its band or a claimed ordering between methods breaks.
 bench-paper:
 	cd benchmarks && PYTHONPATH=../src python -m pytest -q \
 		bench_table2_top_features.py bench_table3_references.py \
 		bench_table4_reviews.py bench_table5_general_web.py \
+		bench_fig1_platform.py bench_fig2_pipeline.py \
+		bench_fig3_open_subjects.py bench_fig45_reporting.py \
 		bench_feature_precision.py bench_ablations.py
 
 # Byte-compile everything, then run the static-analysis rule set

@@ -53,10 +53,9 @@ def test_figure3_offline_index_vs_runtime_analysis(benchmark, scale, seed, repor
     # sentiment index.
     open_miner = SentimentMiner()
     sentiment_index = SentimentIndex()
-    for document in dataset.dplus:
-        sentiment_index.add_all(
-            open_miner.mine_open_document(document.text, document.doc_id).judgments
-        )
+    sentiment_index.add_all(
+        open_miner.mine_corpus((d.doc_id, d.text) for d in dataset.dplus).judgments
+    )
 
     def runtime_query():
         """The rejected design: analyze matching documents per query."""

@@ -20,7 +20,7 @@ or docs/sec floor is breached, or when byte-identity breaks.
 import json
 import os
 
-from conftest import emit, run_once
+from conftest import emit, run_once, write_json
 
 from repro.core import SentimentMiner, Subject
 from repro.corpora import DOMAINS, ReviewGenerator
@@ -190,9 +190,7 @@ def test_bench_freshness(benchmark, report):
         "docs": DOCS,
         "requests": REQUESTS,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    write_json(OUT_PATH, payload)
 
     rows = [
         ["batches", fresh["batches"]],

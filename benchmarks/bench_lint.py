@@ -10,11 +10,10 @@ runs produce identical findings.  Results go to ``BENCH_lint.json``
 for CI trend tracking.
 """
 
-import json
 import os
 import time
 
-from conftest import emit
+from conftest import emit, paired_rounds, write_json
 
 from repro.analysis import (
     Linter,
@@ -58,14 +57,13 @@ def timed_lint(cache_path):
 def test_bench_lint_warm_cache(tmp_path):
     cache_path = tmp_path / "lint-cache.json"
 
-    cold_best = warm_best = float("inf")
-    cold_report = warm_report = None
-    for _ in range(ROUNDS):
+    def cold_lint():
         cache_path.unlink(missing_ok=True)
-        cold_elapsed, cold_report = timed_lint(cache_path)
-        warm_elapsed, warm_report = timed_lint(cache_path)
-        cold_best = min(cold_best, cold_elapsed)
-        warm_best = min(warm_best, warm_elapsed)
+        return timed_lint(cache_path)
+
+    rounds = paired_rounds(cold_lint, lambda: timed_lint(cache_path), ROUNDS, warmup=False)
+    cold_best, warm_best = rounds.first_best, rounds.second_best
+    cold_report, warm_report = rounds.first_result, rounds.second_result
 
     # The cache must be semantically invisible ...
     assert [f.to_dict() for f in warm_report.findings] == [
@@ -93,23 +91,19 @@ def test_bench_lint_warm_cache(tmp_path):
         f"(budget {MAX_WARM_FRACTION:.2f}x)"
     )
 
-    with open(OUT_PATH, "w", encoding="utf-8") as stream:
-        json.dump(
-            {
-                "rounds": ROUNDS,
-                "files_checked": cold_report.files_checked,
-                "cold_best_seconds": cold_best,
-                "warm_best_seconds": warm_best,
-                "warm_fraction": fraction,
-                "max_warm_fraction": MAX_WARM_FRACTION,
-                "cold_files_reanalyzed": cold_report.files_reanalyzed,
-                "warm_files_reanalyzed": warm_report.files_reanalyzed,
-                "unsuppressed_errors": len(
-                    [f for f in cold_report.unsuppressed() if int(f.severity) == 2]
-                ),
-            },
-            stream,
-            indent=2,
-            sort_keys=True,
-        )
-        stream.write("\n")
+    write_json(
+        OUT_PATH,
+        {
+            "rounds": ROUNDS,
+            "files_checked": cold_report.files_checked,
+            "cold_best_seconds": cold_best,
+            "warm_best_seconds": warm_best,
+            "warm_fraction": fraction,
+            "max_warm_fraction": MAX_WARM_FRACTION,
+            "cold_files_reanalyzed": cold_report.files_reanalyzed,
+            "warm_files_reanalyzed": warm_report.files_reanalyzed,
+            "unsuppressed_errors": len(
+                [f for f in cold_report.unsuppressed() if int(f.severity) == 2]
+            ),
+        },
+    )

@@ -16,17 +16,17 @@ cheap enough to leave compiled in, and free when switched off:
   against almost no request work, so its ratio is an upper bound no real
   deployment would see.
 
-Each gate interleaves off/on rounds, compares the median paired ratio
-against ``MAX_OVERHEAD``, and checks the on/off outputs are identical —
-telemetry must never change results.  Both sections are written to
-``BENCH_obs_overhead.json`` so CI can track the ratios over time.
+Each gate interleaves off/on rounds (``conftest.paired_rounds``),
+compares the median paired ratio against ``MAX_OVERHEAD``, and checks
+the on/off outputs are identical — telemetry must never change results.
+Both sections are written to ``BENCH_obs_overhead.json`` so CI can
+track the ratios over time.
 """
 
-import json
 import os
 import time
 
-from conftest import emit
+from conftest import PairedRounds, emit, median_ratio, paired_rounds, write_json
 
 from repro.core import SentimentMiner, Subject
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
@@ -47,50 +47,16 @@ SERVING_REQUESTS = 150
 SERVING_CHAOS_SEED = 7
 
 
-def _write_section(name: str, payload: dict) -> None:
-    """Merge one gate's results into the shared artifact."""
-    merged: dict = {}
-    if os.path.exists(OUT_PATH):
-        with open(OUT_PATH, encoding="utf-8") as stream:
-            merged = json.load(stream)
-    merged[name] = payload
-    with open(OUT_PATH, "w", encoding="utf-8") as stream:
-        json.dump(merged, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-
-
-def _paired_rounds(run_off, run_on):
-    """Warm up, then interleave off/on rounds; return timings + results.
-
-    Each closure times its own hot section and returns ``(elapsed,
-    result)`` — setup (corpus generation, index build) stays off the
-    stopwatch.  A noisy neighbour slows both halves of a pair roughly
-    equally, so the per-pair on/off ratio is far more stable than either
-    absolute time.  The overhead under test is the median paired ratio.
-    """
-    run_off()
-    run_on()
-    off_time = on_time = float("inf")
-    off_result = on_result = None
-    ratios = []
-    for _ in range(ROUNDS):
-        off_elapsed, off_result = run_off()
-        on_elapsed, on_result = run_on()
-        off_time = min(off_time, off_elapsed)
-        on_time = min(on_time, on_elapsed)
-        ratios.append(on_elapsed / off_elapsed)
-    ratios.sort()
-    return off_time, on_time, ratios, off_result, on_result
-
-
-def _emit_and_gate(title: str, off_time: float, on_time: float, ratios):
-    overhead = ratios[len(ratios) // 2] - 1.0
+def _emit_and_gate(title: str, rounds: PairedRounds) -> tuple[float, list[float]]:
+    """Print and gate the median on/off overhead; return it and the ratios."""
+    median, ratios = median_ratio(rounds.second_times, rounds.first_times)
+    overhead = median - 1.0
     emit(
         format_table(
             ["mode", "best seconds"],
             [
-                ["tracing off", f"{off_time:.4f}"],
-                ["tracing on", f"{on_time:.4f}"],
+                ["tracing off", f"{rounds.first_best:.4f}"],
+                ["tracing on", f"{rounds.second_best:.4f}"],
                 ["overhead", f"{overhead:+.1%}"],
             ],
             title=title,
@@ -99,7 +65,7 @@ def _emit_and_gate(title: str, off_time: float, on_time: float, ratios):
     assert overhead < MAX_OVERHEAD, (
         f"instrumentation overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%}"
     )
-    return overhead
+    return overhead, ratios
 
 
 def test_bench_obs_overhead_mine():
@@ -115,9 +81,8 @@ def test_bench_obs_overhead_mine():
         result = miner.mine_corpus(iter(documents))
         return time.perf_counter() - start, result
 
-    off_time, on_time, ratios, off_result, on_result = _paired_rounds(
-        lambda: run(Obs.default), lambda: run(Obs.enabled)
-    )
+    rounds = paired_rounds(lambda: run(Obs.default), lambda: run(Obs.enabled), ROUNDS)
+    off_result, on_result = rounds.first_result, rounds.second_result
 
     # Same pipeline either way: identical judgments, only extra telemetry.
     assert [j.as_pair() for j in on_result.judgments] == [
@@ -126,25 +91,23 @@ def test_bench_obs_overhead_mine():
     assert off_result.audit == []
     assert len(on_result.audit) >= len(on_result.judgments)
 
-    overhead = _emit_and_gate(
-        f"observability overhead: mine ({DOCS} docs, best of {ROUNDS})",
-        off_time,
-        on_time,
-        ratios,
+    overhead, ratios = _emit_and_gate(
+        f"observability overhead: mine ({DOCS} docs, best of {ROUNDS})", rounds
     )
-    _write_section(
-        "mine",
+    write_json(
+        OUT_PATH,
         {
             "documents": DOCS,
             "rounds": ROUNDS,
-            "tracing_off_best_seconds": off_time,
-            "tracing_on_best_seconds": on_time,
+            "tracing_off_best_seconds": rounds.first_best,
+            "tracing_on_best_seconds": rounds.second_best,
             "paired_ratios": ratios,
             "overhead_fraction": overhead,
             "max_overhead_fraction": MAX_OVERHEAD,
             "judgments": len(on_result.judgments),
             "audit_entries": len(on_result.audit),
         },
+        section="mine",
     )
 
 
@@ -169,13 +132,10 @@ def test_bench_obs_overhead_serving():
         serve_times[enabled].append(end - served_from)
         return end - start, report
 
-    off_time, on_time, ratios, off_report, on_report = _paired_rounds(
-        lambda: run(False), lambda: run(True)
-    )
-    serve_ratios = sorted(
-        on / off for on, off in zip(serve_times[True], serve_times[False])
-    )
-    serve_only_overhead = serve_ratios[len(serve_ratios) // 2] - 1.0
+    rounds = paired_rounds(lambda: run(False), lambda: run(True), ROUNDS)
+    off_report, on_report = rounds.first_result, rounds.second_result
+    serve_median, _ = median_ratio(serve_times[True], serve_times[False])
+    serve_only_overhead = serve_median - 1.0
 
     # Telemetry must not change a single response.  Latency percentiles
     # may drift by whole-span clock ticks (each span advances the sim
@@ -190,23 +150,21 @@ def test_bench_obs_overhead_serving():
         assert abs(on_report[key] - off_report[key]) < 1e-2
     assert on_report["slo"]["slos"], "SLO monitor saw no traffic"
 
-    overhead = _emit_and_gate(
+    overhead, ratios = _emit_and_gate(
         "observability overhead: serving scenario "
         f"({SERVING_DOCS} docs + {SERVING_REQUESTS} requests, "
         f"chaos seed {SERVING_CHAOS_SEED}, best of {ROUNDS})",
-        off_time,
-        on_time,
-        ratios,
+        rounds,
     )
-    _write_section(
-        "serving",
+    write_json(
+        OUT_PATH,
         {
             "documents": SERVING_DOCS,
             "requests": SERVING_REQUESTS,
             "chaos_seed": SERVING_CHAOS_SEED,
             "rounds": ROUNDS,
-            "tracing_off_best_seconds": off_time,
-            "tracing_on_best_seconds": on_time,
+            "tracing_off_best_seconds": rounds.first_best,
+            "tracing_on_best_seconds": rounds.second_best,
             "paired_ratios": ratios,
             "overhead_fraction": overhead,
             "max_overhead_fraction": MAX_OVERHEAD,
@@ -217,4 +175,5 @@ def test_bench_obs_overhead_serving():
             "hedges": on_report["hedges"],
             "failovers": on_report["failovers"],
         },
+        section="serving",
     )

@@ -20,7 +20,7 @@ The contract under test:
 import json
 import os
 
-from conftest import run_once
+from conftest import run_once, write_json
 
 from repro.eval.reporting import format_table
 from repro.obs import Obs, SLOMonitor, default_serving_slos
@@ -119,9 +119,7 @@ def test_bench_recovery(benchmark, report):
             for seed, run in reports.items()
         },
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    write_json(OUT_PATH, payload)
 
     rows = [
         [

@@ -17,7 +17,7 @@ generator in two regimes and writes ``BENCH_serving_availability.json``:
 import json
 import os
 
-from conftest import emit, run_once
+from conftest import emit, run_once, write_json
 
 from repro.eval.reporting import format_table
 from repro.platform.serving import LoadProfile, build_scenario
@@ -110,9 +110,7 @@ def test_bench_serving_availability(benchmark, report):
         "requests": REQUESTS,
         "chaos_seed": CHAOS_SEED,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    write_json(OUT_PATH, payload)
 
     rows = [
         ["availability", f"{chaos['availability']:.4f}", f"{overload['availability']:.4f}"],

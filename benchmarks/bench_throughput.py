@@ -21,12 +21,11 @@ series is deterministic: 80 documents over 0.5 sim-sec.  Results go to
 the optimized run's split/tag/parse memo hit ratios beside them.
 """
 
-import json
 import os
 import sys
 import time
 
-from conftest import emit
+from conftest import emit, median_ratio, paired_rounds, write_json
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 if REPO_ROOT not in sys.path:
@@ -75,7 +74,7 @@ def _reference_run(documents, subjects):
     miner = reference_miner(subjects, obs=obs)
     start = time.perf_counter()
     result = miner.mine_corpus(documents)
-    return time.perf_counter() - start, obs.clock.now, result
+    return time.perf_counter() - start, (obs.clock.now, result)
 
 
 def _optimized_run(documents, subjects):
@@ -83,7 +82,7 @@ def _optimized_run(documents, subjects):
     miner = SentimentMiner(subjects=subjects, obs=obs)
     start = time.perf_counter()
     result = miner.mine_batch(documents)
-    return time.perf_counter() - start, obs.clock.now, result, _memo_hit_ratios(obs)
+    return time.perf_counter() - start, (obs.clock.now, result, _memo_hit_ratios(obs))
 
 
 def _memo_hit_ratios(obs) -> dict[str, float]:
@@ -100,23 +99,15 @@ def test_bench_throughput():
     documents = _corpus()
     subjects = _subjects()
 
-    _reference_run(documents, subjects)
-    _optimized_run(documents, subjects)
-    ref_best = opt_best = float("inf")
-    ref_result = opt_result = None
-    ratios = []
-    ref_sim = opt_sim = 0.0
-    memo_hit_ratios = {}
-    for _ in range(ROUNDS):
-        ref_elapsed, ref_sim, ref_result = _reference_run(documents, subjects)
-        opt_elapsed, opt_sim, opt_result, memo_hit_ratios = _optimized_run(
-            documents, subjects
-        )
-        ref_best = min(ref_best, ref_elapsed)
-        opt_best = min(opt_best, opt_elapsed)
-        ratios.append(ref_elapsed / opt_elapsed)
-    ratios.sort()
-    speedup = ratios[len(ratios) // 2]
+    rounds = paired_rounds(
+        lambda: _reference_run(documents, subjects),
+        lambda: _optimized_run(documents, subjects),
+        ROUNDS,
+    )
+    ref_best, opt_best = rounds.first_best, rounds.second_best
+    ref_sim, ref_result = rounds.first_result
+    opt_sim, opt_result, memo_hit_ratios = rounds.second_result
+    speedup, ratios = median_ratio(rounds.first_times, rounds.second_times)
 
     # The optimization contract: identical output, only faster.
     assert opt_result.judgments == ref_result.judgments
@@ -142,9 +133,7 @@ def test_bench_throughput():
         "docs_per_sim_sec_floor": DOCS_PER_SIM_SEC_FLOOR,
         "memo_hit_ratios": memo_hit_ratios,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    write_json(OUT_PATH, payload)
 
     emit(
         format_table(

@@ -20,10 +20,9 @@ def main() -> None:
     print(f"mining {len(dataset.dplus)} general web pages (pharma domain)...")
 
     miner = SentimentMiner()  # no subjects: open mode
+    result = miner.mine_corpus((d.doc_id, d.text) for d in dataset.dplus)
     index = SentimentIndex()
-    for document in dataset.dplus:
-        result = miner.mine_open_document(document.text, document.doc_id)
-        index.add_all(result.judgments)
+    index.add_all(result.judgments)
     print(f"sentiment index: {len(index)} polar judgments, "
           f"{len(index.subjects())} subjects discovered\n")
 

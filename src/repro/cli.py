@@ -343,8 +343,7 @@ def cmd_analyze(args: argparse.Namespace, out: IO[str], stdin: IO[str]) -> int:
         # No subjects: run mode B over the text.
         from .core import SentimentMiner
 
-        result = SentimentMiner(analyzer=analyzer, obs=obs).mine_open_document(text)
-        judgments = result.judgments
+        judgments = SentimentMiner(analyzer=analyzer, obs=obs).mine_document(text).judgments
     else:
         judgments = analyzer.analyze_text(text, subjects)
     if not judgments:

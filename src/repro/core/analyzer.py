@@ -155,6 +155,10 @@ class SentimentAnalyzer:
     def parse_memo(self) -> ParseMemo:
         return self._parse_memo
 
+    @property
+    def splitter(self) -> SentenceSplitter:
+        return self._splitter
+
     def tag(self, sentence: Sentence) -> TaggedSentence:
         """POS-tag with the lexicon-extended tagger."""
         return self._tagger.tag(sentence)
@@ -182,19 +186,17 @@ class SentimentAnalyzer:
         )
         return parse
 
-    def publish_memo_metrics(self, splitter: SentenceSplitter | None = None) -> None:
+    def publish_memo_metrics(self) -> None:
         """Mirror the nlp-layer memo counters into the metrics registry.
 
         The nlp package sits below obs in the import order (ARCH001), so
         the memo classes keep plain integer counters; the analyzer owns
         the registry handle and republishes them as ``nlp.memo_*``
-        series labelled by memo.  Callers that split with their own
-        :class:`SentenceSplitter` (the miner does) pass it in so the
-        ``split`` series reflects the memo actually on the hot path.
+        series labelled by memo.
         """
         metrics = self._obs.metrics
         stats_by_memo = {
-            "split": (splitter or self._splitter).memo_stats(),
+            "split": self._splitter.memo_stats(),
             "tag": self._tagger.memo_stats(),
             "parse": self._parse_memo.memo_stats(),
         }
@@ -551,6 +553,27 @@ class SentimentAnalyzer:
         ]
 
     # -- sentiment-bearing filter (mode B) --------------------------------------
+
+    def judge_bearing(
+        self, tagged_sentences: list[TaggedSentence], spots: list[Spot]
+    ) -> list[SentimentJudgment]:
+        """Judge the spots of sentiment-bearing sentences, in sentence order.
+
+        Mode B's filter and analyzer: a sentence with no spot, or with
+        no sentiment term, is skipped wholesale.  Spots are matched to
+        sentences by :attr:`TaggedSentence.index`, and judged on the
+        tags they come with, so the platform adapter keeps its entity's
+        POS-layer tags.
+        """
+        spots_by_sentence: dict[int, list[Spot]] = {}
+        for spot in spots:
+            spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
+        judgments: list[SentimentJudgment] = []
+        for tagged in tagged_sentences:
+            sentence_spots = spots_by_sentence.get(tagged.index)
+            if sentence_spots and self.bears_sentiment(tagged):
+                judgments.extend(self.judge_spots(tagged, sentence_spots))
+        return judgments
 
     def bears_sentiment(self, tagged: TaggedSentence) -> bool:
         """Quick test: does the sentence contain any sentiment term?

@@ -1,4 +1,4 @@
-"""The sentiment miner: end-to-end orchestration of both operational modes.
+"""The sentiment miner: one stage-major engine for both operational modes.
 
 Mode A — *predefined subjects* (paper Fig. 2): spotter → disambiguator →
 sentiment-context formation → sentiment analyzer.
@@ -6,6 +6,8 @@ sentiment-context formation → sentiment analyzer.
 Mode B — *no predefined subjects* (paper Fig. 3): named-entity spotter →
 sentiment-bearing sentence filter → analyzer; results feed the sentiment
 index for query-time lookups.
+
+The subject list picks the mode: a miner without subjects is Mode B.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Iterable, Iterator
 
 from ..obs import Obs
 from ..obs.audit import AuditEntry
-from ..nlp.sentences import SentenceSplitter
-from ..nlp.tokenizer import Tokenizer
+from ..nlp.tokens import TaggedSentence
 from .analyzer import SentimentAnalyzer, audit_judgment
 from .context import ContextBuilder, ContextWindowRule
 from .disambiguation import Disambiguator
@@ -75,7 +76,11 @@ class MiningResult:
 
 
 class SentimentMiner:
-    """Entity-level sentiment miner with two operational modes."""
+    """Entity-level sentiment miner with two operational modes.
+
+    A miner given subjects (or a ``spotter``) runs Mode A; a miner given
+    neither runs Mode B, with named entities as its subjects.
+    """
 
     def __init__(
         self,
@@ -85,7 +90,6 @@ class SentimentMiner:
         context_rule: ContextWindowRule | None = None,
         obs: Obs | None = None,
         spotter: SubjectSpotter | None = None,
-        split_memo_size: int = 64,
     ):
         self._obs = obs if obs is not None else Obs.default()
         self._subjects = list(subjects or [])
@@ -99,8 +103,7 @@ class SentimentMiner:
         else:
             self._spotter = SubjectSpotter(self._subjects) if self._subjects else None
         self._ne_spotter = NamedEntitySpotter()
-        self._tokenizer = Tokenizer()
-        self._splitter = SentenceSplitter(self._tokenizer, memo_size=split_memo_size)
+        self._mode = "A" if self._spotter is not None else "B"
 
     @property
     def analyzer(self) -> SentimentAnalyzer:
@@ -110,12 +113,10 @@ class SentimentMiner:
     def subjects(self) -> list[Subject]:
         return list(self._subjects)
 
-    # -- mode A: predefined subject set -------------------------------------------
-
     def mine_document(self, text: str, document_id: str = "") -> MiningResult:
-        """Run the Fig. 2 pipeline on one document."""
+        """Run the Fig. 2 (Mode A) or Fig. 3 (Mode B) pipeline on one document."""
         return self._mine(
-            [(document_id, text)], "mine.document", document_id=document_id, mode="A"
+            [(document_id, text)], "mine.document", document_id=document_id, mode=self._mode
         )
 
     def mine_corpus(
@@ -123,7 +124,7 @@ class SentimentMiner:
     ) -> MiningResult:
         """Mine ``(document_id, text)`` pairs; results are concatenated."""
         total = MiningResult()
-        with self._obs.tracer.span("mine.corpus", mode="A") as span:
+        with self._obs.tracer.span("mine.corpus", mode=self._mode) as span:
             for document_id, text in documents:
                 result = self.mine_document(text, document_id)
                 total.judgments.extend(result.judgments)
@@ -134,48 +135,59 @@ class SentimentMiner:
         return total
 
     def mine_batch(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
-        """Mode A over a whole document batch in one pass of the engine.
+        """Mine a whole document batch in one pass of the engine.
 
         The result is byte-identical to :meth:`mine_corpus` on the same
         documents; only the simulated cost differs, charged per stage
         per batch rather than per stage per document.
         """
         documents = list(documents)
-        return self._mine(documents, "mine.batch", mode="A", documents=len(documents))
+        return self._mine(documents, "mine.batch", mode=self._mode, documents=len(documents))
 
     def _mine(
         self, documents: list[tuple[str, str]], span_name: str, /, **attributes: object
     ) -> MiningResult:
-        """The Mode A engine: one tight loop per pipeline stage.
+        """The engine of both modes: one tight loop per pipeline stage.
 
         Splits every document, then spots them all, then disambiguates,
         then analyzes, so each stage's tables and caches stay hot across
-        the batch.  Judgments come out in document order, and
+        the batch.  Mode B's spot stage tags each sentence and spots its
+        named entities; its analyze stage judges only the spots in
+        sentiment-bearing sentences, with no disambiguation and no
+        context window.  Judgments come out in document order, and
         ``MiningResult.audit`` is reassembled per document even though
         the global trail records stage-major.  Each stage but the split
         charges ``STAGE_COST`` once per call, so a one-document call
         costs what one document always has.
         """
-        if self._spotter is None:
-            raise ValueError("mode A requires a predefined subject list")
         obs = self._obs
         tracer = obs.tracer
         audit = obs.audit
+        analyzer = self._analyzer
         total = MiningResult()
         with tracer.span(span_name, **attributes) as outer:
-            sentences_by_doc = [self._splitter.split_text(text) for _, text in documents]
+            split_text = analyzer.splitter.split_text
+            sentences_by_doc = [split_text(text) for _, text in documents]
             total.stats.documents = len(documents)
             total.stats.sentences = sum(map(len, sentences_by_doc))
+            tagged_by_doc: list[list[TaggedSentence]] | None = None
             with tracer.span("stage.spot", sentences=total.stats.sentences) as span:
                 obs.clock.advance(STAGE_COST)
-                spots_by_doc = [
-                    self._spotter.spot_document(sentences, document_id)
-                    for (document_id, _), sentences in zip(documents, sentences_by_doc)
-                ]
+                if self._spotter is not None:
+                    spots_by_doc = [
+                        self._spotter.spot_document(sentences, document_id)
+                        for (document_id, _), sentences in zip(documents, sentences_by_doc)
+                    ]
+                else:
+                    tagged_by_doc = [list(map(analyzer.tag, s)) for s in sentences_by_doc]
+                    spots_by_doc = [
+                        self._ne_spotter.spot_document(tagged, document_id)
+                        for (document_id, _), tagged in zip(documents, tagged_by_doc)
+                    ]
                 total.stats.spots_found = sum(map(len, spots_by_doc))
                 span.set_attribute("spots", total.stats.spots_found)
             audit_by_doc: list[list[AuditEntry]] = [[] for _ in documents]
-            if self._disambiguator is not None:
+            if self._disambiguator is not None and tagged_by_doc is None:
                 with tracer.span("stage.disambiguate", spots=total.stats.spots_found) as span:
                     obs.clock.advance(STAGE_COST)
                     for position, sentences in enumerate(sentences_by_doc):
@@ -185,7 +197,6 @@ class SentimentMiner:
                         ).on_topic
                         audit_by_doc[position] = audit.since(mark)
                     span.set_attribute("on_topic", sum(map(len, spots_by_doc)))
-            total.stats.spots_on_topic = sum(map(len, spots_by_doc))
             with tracer.span(
                 "stage.analyze",
                 sentences_with_spots=sum(
@@ -196,11 +207,18 @@ class SentimentMiner:
                 rule = self._context_builder.rule
                 for position, sentences in enumerate(sentences_by_doc):
                     mark = audit.mark()
-                    self._record(
-                        total,
-                        self._analyzer.judge_spotted(sentences, spots_by_doc[position], rule),
-                    )
+                    spots = spots_by_doc[position]
+                    if tagged_by_doc is None:
+                        judged = analyzer.judge_spotted(sentences, spots, rule)
+                    else:
+                        judgments = analyzer.judge_bearing(tagged_by_doc[position], spots)
+                        judged = [(judgment, False) for judgment in judgments]
+                    self._record(total, judged)
                     audit_by_doc[position].extend(audit.since(mark))
+            # One judgment per judged spot: every spot the disambiguator
+            # kept (Mode A), or every spot in a sentiment-bearing
+            # sentence (Mode B).
+            total.stats.spots_on_topic = len(total.judgments)
             for entries in audit_by_doc:
                 total.audit.extend(entries)
             outer.set_attribute("judgments", len(total.judgments))
@@ -211,54 +229,9 @@ class SentimentMiner:
         """Yield the sentiment contexts mode A would analyze (for tooling)."""
         if self._spotter is None:
             raise ValueError("mode A requires a predefined subject list")
-        sentences = self._splitter.split_text(text)
+        sentences = self._analyzer.splitter.split_text(text)
         for spot in self._spotter.spot_document(sentences, document_id):
             yield self._context_builder.build(sentences, spot)
-
-    # -- mode B: open subjects ------------------------------------------------------
-
-    def mine_open_document(self, text: str, document_id: str = "") -> MiningResult:
-        """Run the Fig. 3 pipeline: named entities as subjects.
-
-        Only sentiment-bearing sentences are analyzed, mirroring the
-        paper's offline whole-corpus pass that feeds the sentiment index.
-        """
-        obs = self._obs
-        audit_mark = obs.audit.mark()
-        result = MiningResult()
-        result.stats.documents = 1
-        with obs.tracer.span(
-            "mine.document", document_id=document_id, mode="B"
-        ) as doc_span:
-            sentences = self._splitter.split_text(text)
-            result.stats.sentences = len(sentences)
-            obs.clock.advance(STAGE_COST)
-            for sentence in sentences:
-                tagged = self._analyzer.tag(sentence)
-                spots = self._ne_spotter.spot_sentence(tagged, document_id)
-                result.stats.spots_found += len(spots)
-                if not spots or not self._analyzer.bears_sentiment(tagged):
-                    continue
-                result.stats.spots_on_topic += len(spots)
-                judgments = self._analyzer.judge_spots(tagged, spots)
-                self._record(result, [(judgment, False) for judgment in judgments])
-            doc_span.set_attribute("judgments", len(result.judgments))
-        self._publish(result)
-        result.audit = obs.audit.since(audit_mark)
-        return result
-
-    def mine_open_corpus(self, documents: Iterable[tuple[str, str]]) -> MiningResult:
-        """Mode B over ``(document_id, text)`` pairs."""
-        total = MiningResult()
-        with self._obs.tracer.span("mine.corpus", mode="B") as span:
-            for document_id, text in documents:
-                result = self.mine_open_document(text, document_id)
-                total.judgments.extend(result.judgments)
-                total.stats.merge(result.stats)
-                total.audit.extend(result.audit)
-            span.set_attribute("documents", total.stats.documents)
-            span.set_attribute("judgments", len(total.judgments))
-        return total
 
     # -- shared ------------------------------------------------------------------------
 
@@ -285,7 +258,7 @@ class SentimentMiner:
         """Mirror the run's :class:`MiningStats` into the metrics registry."""
         metrics = self._obs.metrics
         stats = result.stats
-        self._analyzer.publish_memo_metrics(self._splitter)
+        self._analyzer.publish_memo_metrics()
         metrics.counter("miner.documents").inc(stats.documents)
         metrics.counter("miner.sentences").inc(stats.sentences)
         metrics.counter("miner.spots_found").inc(stats.spots_found)

@@ -702,11 +702,9 @@ def figure3_open_subjects(seed: int = 2005, scale: float = 0.2) -> Figure3Result
     from ..platform.indexer import SentimentIndex
 
     dataset = corpus_datasets.pharmaceutical_web(seed=seed, scale=scale)
-    miner = SentimentMiner()
+    result = SentimentMiner().mine_corpus((d.doc_id, d.text) for d in dataset.dplus)
     index = SentimentIndex()
-    for document in dataset.dplus:
-        result = miner.mine_open_document(document.text, document.doc_id)
-        index.add_all(result.judgments)
+    index.add_all(result.judgments)
     top = []
     for subject in index.subjects()[:10]:
         counts = index.counts(subject)

@@ -114,14 +114,7 @@ class OpenSentimentEntityMiner(EntityMiner):
         ]
         if not ne_spots:
             return
-        spots_by_sentence: dict[int, list[Spot]] = {}
-        for spot in ne_spots:
-            spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
-        for tagged in base.tagged_sentences_from(entity):
-            sentence_spots = spots_by_sentence.get(tagged.index)
-            if not sentence_spots or not self._analyzer.bears_sentiment(tagged):
-                continue
-            for judgment in self._analyzer.judge_spots(tagged, sentence_spots):
-                if judgment.polarity.is_polar:
-                    audit_judgment(self._obs.audit, judgment)
-                    _annotate_judgment(entity, judgment)
+        for judgment in self._analyzer.judge_bearing(base.tagged_sentences_from(entity), ne_spots):
+            if judgment.polarity.is_polar:
+                audit_judgment(self._obs.audit, judgment)
+                _annotate_judgment(entity, judgment)

@@ -4,191 +4,47 @@ A laptop-scale substitute for the paper's 500-node analytics platform,
 preserving the contracts the sentiment miner depends on: entity storage,
 annotation layers, miner scheduling, indexing, and hosted services.  See
 DESIGN.md Section 2 for the substitution rationale.
+
+The package re-exports only the names its callers import from it; every
+other name lives in, and is imported from, its own submodule.
 """
 
-from . import api, chaos, serving
-from .api import (
-    API_VERSION,
-    CursorError,
-    decode_cursor,
-    encode_cursor,
-    error_envelope,
-    make_meta,
-    ok_envelope,
-    paginate,
-    validate_envelope,
-)
-from .cluster import COORDINATOR_SERVICE, Cluster, ClusterRunReport, Node
-from .datastore import DataStore, Partition, Segment, default_partitioner
-from .entity import Annotation, Entity
-from .faults import FaultEvent, FaultPlan
-from .retry import NO_RETRY, RetryPolicy, RetryStats
-from .indexer import InvertedIndex, SentimentEntry, SentimentIndex, haversine_km
+from .cluster import Cluster
+from .datastore import DataStore
+from .entity import Entity
+from .faults import FaultPlan
+from .retry import RetryPolicy
+from .indexer import InvertedIndex, SentimentIndex
 from .ingestion import (
-    DELTA_ADD,
-    DELTA_DELETE,
-    DELTA_UPDATE,
     BulletinBoardIngestor,
     CrawlPage,
     CustomerDataIngestor,
-    DeltaSource,
-    DocumentDelta,
     IngestionManager,
-    IngestionReport,
     NewsFeedIngestor,
-    ScriptedDeltaSource,
-    SnapshotDeltaSource,
-    Source,
     WebCrawler,
 )
-from .segments import (
-    CompactionPolicy,
-    DeltaIndexer,
-    IndexSegment,
-    LiveIndexer,
-    ReplicaSnapshot,
-    ShardSegment,
-    merge_segments,
-)
-from ..core.mining import (
-    CorpusMiner,
-    EntityMiner,
-    MinerPipeline,
-    PipelineError,
-    PipelineReport,
-    run_corpus_miner,
-)
-from .ranking import link_graph, pagerank, rank_entities
-from .recovery import TRANSFER_COST_PER_DOC, RecoveryManager
-from .wal import NullWriteAheadLog, WalRecord, WriteAheadLog
-from .query import (
-    And,
-    Concept,
-    Near,
-    Not,
-    Or,
-    Phrase,
-    Query,
-    QueryParseError,
-    Range,
-    Regex,
-    Term,
-    parse_query,
-    render_query,
-)
-from .serving import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    LoadGenerator,
-    LoadProfile,
-    ReplicatedIndex,
-    ServingRequest,
-    ServingRouter,
-)
-from .services import (
-    SearchService,
-    SentimentQueryService,
-    StoreService,
-    register_services,
-)
-from .vinci import Envelope, VinciBus, VinciError, VinciTimeout
+from ..core.mining import MinerPipeline, run_corpus_miner
+from .ranking import rank_entities
+from .services import register_services
+from .vinci import VinciBus
 
 __all__ = [
-    "API_VERSION",
-    "And",
-    "Annotation",
     "BulletinBoardIngestor",
-    "COORDINATOR_SERVICE",
     "Cluster",
-    "ClusterRunReport",
-    "CompactionPolicy",
-    "Concept",
-    "CircuitBreaker",
-    "CorpusMiner",
-    "CursorError",
-    "api",
-    "chaos",
-    "DELTA_ADD",
-    "DELTA_DELETE",
-    "DELTA_UPDATE",
-    "Deadline",
-    "DeadlineExceeded",
-    "DeltaIndexer",
-    "DeltaSource",
-    "DocumentDelta",
-    "FaultEvent",
-    "FaultPlan",
-    "IndexSegment",
-    "LiveIndexer",
-    "NO_RETRY",
-    "NullWriteAheadLog",
-    "RecoveryManager",
-    "ReplicaSnapshot",
-    "RetryPolicy",
-    "RetryStats",
-    "ScriptedDeltaSource",
-    "ShardSegment",
-    "SnapshotDeltaSource",
-    "TRANSFER_COST_PER_DOC",
-    "VinciTimeout",
-    "WalRecord",
-    "WriteAheadLog",
     "CrawlPage",
     "CustomerDataIngestor",
     "DataStore",
     "Entity",
-    "EntityMiner",
-    "Envelope",
+    "FaultPlan",
     "IngestionManager",
-    "IngestionReport",
     "InvertedIndex",
-    "LoadGenerator",
-    "LoadProfile",
     "MinerPipeline",
-    "Near",
     "NewsFeedIngestor",
-    "Node",
-    "Not",
-    "Or",
-    "Partition",
-    "Phrase",
-    "PipelineError",
-    "PipelineReport",
-    "Query",
-    "QueryParseError",
-    "Range",
-    "rank_entities",
-    "Regex",
-    "ReplicatedIndex",
-    "SearchService",
-    "Segment",
-    "SentimentEntry",
+    "RetryPolicy",
     "SentimentIndex",
-    "SentimentQueryService",
-    "ServingRequest",
-    "ServingRouter",
-    "Source",
-    "serving",
-    "StoreService",
-    "Term",
     "VinciBus",
-    "VinciError",
     "WebCrawler",
-    "decode_cursor",
-    "default_partitioner",
-    "encode_cursor",
-    "error_envelope",
-    "haversine_km",
-    "link_graph",
-    "make_meta",
-    "merge_segments",
-    "ok_envelope",
-    "pagerank",
-    "paginate",
-    "parse_query",
+    "rank_entities",
     "register_services",
-    "render_query",
     "run_corpus_miner",
-    "validate_envelope",
 ]

@@ -202,33 +202,6 @@ class DeltaSource(abc.ABC):
         """Next deltas in delivery order (empty list = drained for now)."""
 
 
-class SnapshotDeltaSource(DeltaSource):
-    """Adapts a whole-corpus :class:`Source` into an add-only delta stream."""
-
-    def __init__(self, source: Source, batch_size: int = 8):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.name = source.name
-        self._iterator = source.fetch()
-        self._batch_size = batch_size
-
-    def poll(self, max_deltas: int | None = None) -> list[DocumentDelta]:
-        limit = self._batch_size if max_deltas is None else min(self._batch_size, max_deltas)
-        out: list[DocumentDelta] = []
-        for entity in self._iterator:
-            out.append(
-                DocumentDelta(
-                    kind=DELTA_ADD,
-                    entity_id=entity.entity_id,
-                    entity=entity,
-                    source=self.name,
-                )
-            )
-            if len(out) >= limit:
-                break
-        return out
-
-
 class ScriptedDeltaSource(DeltaSource):
     """A pre-scripted delta stream — updates and deletes included.
 

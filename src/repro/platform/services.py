@@ -213,7 +213,3 @@ def sentence_around(content: str, start: int, end: int) -> str:
     his = [h for h in his if h >= 0]
     hi = min(his) + 1 if his else len(content)
     return content[lo:hi].strip()
-
-
-#: Backwards-compatible alias (pre-serving callers used the private name).
-_sentence_around = sentence_around

@@ -6,6 +6,7 @@ from repro.core.context import ContextWindowRule
 from repro.core.disambiguation import Disambiguator, TopicTermSet
 from repro.core.miner import SentimentMiner
 from repro.core.model import Polarity, Subject
+from repro.obs import Obs
 
 SUBJECTS = [
     Subject("camera", ("cam",)),
@@ -52,10 +53,6 @@ class TestModeA:
         result = miner.mine_document(REVIEW, "doc42")
         assert all(j.spot.document_id == "doc42" for j in result.judgments)
 
-    def test_mode_a_requires_subjects(self):
-        with pytest.raises(ValueError):
-            SentimentMiner().mine_document("Anything.")
-
     def test_corpus_mining_merges(self, miner):
         result = miner.mine_corpus([("a", REVIEW), ("b", REVIEW)])
         assert result.stats.documents == 2
@@ -92,10 +89,26 @@ class TestContexts:
 
 
 class TestModeB:
+    def test_document_without_subjects_is_mode_b(self):
+        # No subject list means no predefined subjects: the paper's Mode
+        # B runs the engine's spot and analyze stages, and never
+        # disambiguates, even when given a disambiguator.
+        terms = TopicTermSet.build(on_topic=["pictures"], off_topic=["weather"])
+        obs = Obs.enabled()
+        miner = SentimentMiner(disambiguator=Disambiguator(terms), obs=obs)
+        result = miner.mine_document("The Zorblax X100 takes excellent pictures.", "doc1")
+        assert [j.as_pair() for j in result.judgments] == [("Zorblax X100", "+")]
+        root, *stages = obs.tracer.spans()
+        assert (root.name, root.attributes["mode"]) == ("mine.document", "B")
+        assert [(s.name, s.parent_id) for s in stages] == [
+            ("stage.spot", root.span_id),
+            ("stage.analyze", root.span_id),
+        ]
+
     def test_named_entities_judged(self):
         miner = SentimentMiner()
         text = "The Zorblax X100 takes excellent pictures. Flurbotek disappointed analysts."
-        result = miner.mine_open_document(text)
+        result = miner.mine_document(text)
         pairs = dict(j.as_pair() for j in result.judgments)
         assert pairs.get("Zorblax X100") == "+"
         assert pairs.get("Flurbotek") == "-"
@@ -103,7 +116,7 @@ class TestModeB:
     def test_non_sentiment_sentences_skipped(self):
         miner = SentimentMiner()
         text = "Flurbotek has offices in Omaha."
-        result = miner.mine_open_document(text)
+        result = miner.mine_document(text)
         assert result.judgments == []
         assert result.stats.spots_found >= 1
         assert result.stats.spots_on_topic == 0
@@ -111,7 +124,7 @@ class TestModeB:
     def test_open_corpus_merge(self):
         miner = SentimentMiner()
         docs = [("a", "Zorblax impressed reviewers."), ("b", "Zorblax failed badly.")]
-        result = miner.mine_open_corpus(docs)
+        result = miner.mine_corpus(docs)
         assert result.stats.documents == 2
         polarities = [j.polarity for j in result.judgments if j.subject_name == "Zorblax"]
         assert Polarity.POSITIVE in polarities and Polarity.NEGATIVE in polarities

@@ -110,27 +110,56 @@ def windowed_corpus_record() -> tuple:
     return mining_record(result)
 
 
+@functools.lru_cache(maxsize=None)
+def open_corpus_record() -> tuple:
+    """Mode B: a miner without subjects judges the pages' named entities."""
+    result = SentimentMiner(obs=Obs.enabled()).mine_corpus(petroleum_documents(SPLIT_DOCS))
+    return mining_record(result)
+
+
+def mine_in_batches(
+    miner: SentimentMiner, documents: list[tuple[str, str]], cuts: list[int]
+) -> MiningResult:
+    """``mine_batch`` over the consecutive slices *cuts* mark, concatenated."""
+    bounds = [0, *sorted(cuts), len(documents)]
+    total = MiningResult()
+    for lo, hi in zip(bounds, bounds[1:]):
+        result = miner.mine_batch(documents[lo:hi])
+        total.judgments.extend(result.judgments)
+        total.stats.merge(result.stats)
+        total.audit.extend(result.audit)
+    return total
+
+
+#: Cut positions; repeated cuts make empty batches, adjacent cuts make
+#: batches of one.
+CUTS = st.lists(st.integers(min_value=0, max_value=SPLIT_DOCS), max_size=SPLIT_DOCS + 2)
+
+
 class TestBatchSplits:
     def test_corpus_exercises_context_window(self):
         _, _, audit = windowed_corpus_record()
         assert any(record["reason"] == CONTEXT_WINDOW for record in audit)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        cuts=st.lists(st.integers(min_value=0, max_value=SPLIT_DOCS), max_size=SPLIT_DOCS + 2)
-    )
+    @given(cuts=CUTS)
     def test_any_consecutive_split_matches_mine_corpus(self, cuts):
-        # Repeated cuts make empty batches; adjacent cuts make batches of one.
-        documents = camera_documents(SPLIT_DOCS)
-        bounds = [0, *sorted(cuts), SPLIT_DOCS]
-        miner = camera_miner(Obs.enabled(), WINDOW)
-        total = MiningResult()
-        for lo, hi in zip(bounds, bounds[1:]):
-            result = miner.mine_batch(documents[lo:hi])
-            total.judgments.extend(result.judgments)
-            total.stats.merge(result.stats)
-            total.audit.extend(result.audit)
+        total = mine_in_batches(
+            camera_miner(Obs.enabled(), WINDOW), camera_documents(SPLIT_DOCS), cuts
+        )
         assert mining_record(total) == windowed_corpus_record()
+
+    def test_open_corpus_judges_polar_entities(self):
+        judgments, stats, audit = open_corpus_record()
+        assert stats.judgments_polar and len(audit) == len(judgments)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cuts=CUTS)
+    def test_any_consecutive_split_matches_mine_corpus_in_mode_b(self, cuts):
+        total = mine_in_batches(
+            SentimentMiner(obs=Obs.enabled()), petroleum_documents(SPLIT_DOCS), cuts
+        )
+        assert mining_record(total) == open_corpus_record()
 
 
 def petroleum_documents(count: int = 8, seed: int = 2005) -> list[tuple[str, str]]:

@@ -66,11 +66,16 @@ class TestGoldenMusicModeB:
         report = golden.mining_report(golden.mine_music_open())
         assert report == fixture
 
+    def test_batched_open_mining_matches_fixture(self):
+        fixture = golden.load_fixture("music_modeB.json")
+        report = golden.mining_report(golden.mine_music_open(batched=True))
+        assert report == fixture
+
     def test_open_mining_memo_free_matches_fixture(self):
         # Mode B with parse memoisation disabled must agree as well.
         obs = Obs.enabled()
         miner = SentimentMiner(analyzer=reference_analyzer(obs=obs), obs=obs)
-        report = golden.mining_report(miner.mine_open_corpus(golden.music_documents()))
+        report = golden.mining_report(miner.mine_corpus(golden.music_documents()))
         assert report == golden.load_fixture("music_modeB.json")
 
 

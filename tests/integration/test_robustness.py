@@ -44,7 +44,7 @@ class TestMinerNeverCrashes:
     @settings(max_examples=80, deadline=None)
     @given(_messy)
     def test_mode_b(self, text):
-        result = SentimentMiner().mine_open_document(text, "fuzz")
+        result = SentimentMiner().mine_document(text, "fuzz")
         assert result.stats.documents == 1
 
     @settings(max_examples=40, deadline=None)

@@ -19,6 +19,9 @@ from repro.miners import (
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Entity
 from repro.core.mining import MinerPipeline, run_corpus_miner
+from repro.corpora.datasets import pharmaceutical_web
+
+from tests.support.reference import reference_analyzer, reference_open_judgments
 
 TEXT = "The camera takes excellent pictures. The battery life is disappointing."
 
@@ -149,6 +152,54 @@ class TestOpenSentimentMiner:
         names = [a.label for a in entity.layer(base.ENTITY_LAYER)]
         assert "Prof. Wilson" in names
         assert "American University" in names
+
+
+def polar_record(judgments) -> list[tuple]:
+    return [
+        (j.spot.start, j.spot.end, j.subject_name, j.polarity.value, j.provenance.pattern)
+        for j in judgments
+        if j.polarity.is_polar
+    ]
+
+
+class TestOpenSentimentMatchesReference:
+    """The Mode B adapter judges on its entity's POS-layer tags.
+
+    The analyzer's tagger knows the sentiment lexicon and the pattern
+    predicates, the POS miner's does not, so on some pages they tag a
+    sentence differently.  Those pages are where re-tagging inside the
+    adapter would show.
+    """
+
+    PAGES = 30
+
+    def test_adapter_equals_reference_loop_where_taggers_disagree(self):
+        pipeline = MinerPipeline(
+            [TokenizerMiner(), PosTaggerMiner(), NamedEntityMiner(), OpenSentimentEntityMiner()]
+        )
+        oracle = reference_analyzer()
+        disagreeing = retag_sensitive = 0
+        for page in pharmaceutical_web(seed=2005, scale=0.3).dplus[: self.PAGES]:
+            entity = Entity(entity_id=page.doc_id, content=page.text)
+            pipeline.process_entity(entity)
+            layer_tagged = base.tagged_sentences_from(entity)
+            retagged = [oracle.tag(sentence) for sentence in base.sentences_from(entity)]
+            if [[t.tag for t in s.tokens] for s in layer_tagged] == [
+                [t.tag for t in s.tokens] for s in retagged
+            ]:
+                continue
+            disagreeing += 1
+            expected = polar_record(reference_open_judgments(oracle, layer_tagged, page.doc_id))
+            adapted = [
+                (a.span.start, a.span.end, a.attribute("subject"), a.label, a.attribute("pattern"))
+                for a in entity.layer(base.SENTIMENT_LAYER)
+            ]
+            assert adapted == expected, page.doc_id
+            retag_sensitive += expected != polar_record(
+                reference_open_judgments(oracle, retagged, page.doc_id)
+            )
+        assert disagreeing
+        assert retag_sensitive  # re-tagging would have changed some answer
 
 
 class TestFullPipelineOnCluster:

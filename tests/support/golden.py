@@ -127,10 +127,10 @@ def mine_camera(batched: bool) -> MiningResult:
 
 
 def mine_music_open(batched: bool = False) -> MiningResult:
-    """Mode B (open subjects) over the music corpus; always per-document."""
-    del batched  # mode B has no batch entry point; the argument keeps call sites uniform
+    """Mode B (open subjects) over the music corpus."""
     miner = SentimentMiner(obs=Obs.enabled())
-    return miner.mine_open_corpus(music_documents())
+    documents = music_documents()
+    return miner.mine_batch(documents) if batched else miner.mine_corpus(documents)
 
 
 #: Hand-written wire copy for the web corpus.  The page generator never

@@ -11,17 +11,22 @@ the reference path:
   (one dict probe per (position, length) pair), sharing the production
   ``compile_terms`` table so the collision policy (first subject wins)
   is part of the common contract;
-* :func:`reference_analyzer` — a :class:`SentimentAnalyzer` with parse
-  memoisation disabled, so every sentence is parsed from scratch;
+* :func:`reference_analyzer` — a :class:`SentimentAnalyzer` with its
+  split, tag and parse memos disabled, so every sentence is tagged and
+  parsed from scratch;
 * :func:`reference_miner` — a mode-A :class:`SentimentMiner` wired to
-  both of the above, with the split memo off too; drive it with
-  ``mine_corpus`` for the full reference run.
+  both of the above; drive it with ``mine_corpus`` for the full
+  reference run;
+* :func:`reference_open_judgments` — the historical Mode B loop, one
+  sentence at a time: spot named entities, skip sentences that bear no
+  sentiment, judge the rest.
 
-:class:`SentimentMiner` has one Mode A engine, so the reference miner
-runs the same stage loop as the production one.  Its independence rests
-on the naive spotter and the disabled memos, not on a second loop; the
-loop itself is pinned by the golden fixtures and by the batch-split
-property in ``tests/integration/test_batch_equivalence.py``.
+:class:`SentimentMiner` has one engine for both modes, so the
+reference miner runs the same stage loop as the production one.  Its
+independence rests on the naive spotter and the disabled memos, not on
+a second loop; the loop itself is pinned by the golden fixtures and by
+the batch-split properties in
+``tests/integration/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from __future__ import annotations
 from repro.core.analyzer import SentimentAnalyzer
 from repro.core.disambiguation import Disambiguator
 from repro.core.miner import SentimentMiner
-from repro.core.model import Spot, Subject
-from repro.core.spotting import TermCollision, compile_terms
-from repro.nlp.tokens import Sentence, Span, Token
+from repro.core.model import SentimentJudgment, Spot, Subject
+from repro.core.spotting import NamedEntitySpotter, TermCollision, compile_terms
+from repro.nlp.tokens import Sentence, Span, TaggedSentence, Token
 from repro.obs import Obs
 
 
@@ -119,5 +124,18 @@ def reference_miner(
         disambiguator=disambiguator,
         obs=obs,
         spotter=ReferenceSubjectSpotter(subjects),
-        split_memo_size=0,
     )
+
+
+def reference_open_judgments(
+    analyzer: SentimentAnalyzer, tagged_sentences: list[TaggedSentence], document_id: str = ""
+) -> list[SentimentJudgment]:
+    """Mode B over already-tagged sentences, kept verbatim as the oracle."""
+    spotter = NamedEntitySpotter()
+    judgments: list[SentimentJudgment] = []
+    for tagged in tagged_sentences:
+        spots = spotter.spot_sentence(tagged, document_id)
+        if not spots or not analyzer.bears_sentiment(tagged):
+            continue
+        judgments.extend(analyzer.judge_spots(tagged, spots))
+    return judgments
