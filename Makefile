@@ -2,7 +2,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke perfbench-trace bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery bench-paper lint lint-report
+.PHONY: test chaos serving-chaos incremental recovery-chaos perfbench-smoke perfbench-trace bench bench-obs bench-serving bench-freshness bench-throughput bench-lint bench-recovery bench-paper bench-extras lint lint-report
 
 test: lint
 	python -m pytest -x -q
@@ -96,6 +96,14 @@ bench-paper:
 		bench_fig1_platform.py bench_fig2_pipeline.py \
 		bench_fig3_open_subjects.py bench_fig45_reporting.py \
 		bench_feature_precision.py bench_ablations.py
+
+# The benchmarks no other target runs: the makespan-vs-failure-rate
+# curve, per-template-kind error analysis, the other corpus miners, and
+# the platform microbenchmarks.  Fails if any of their checks fails.
+bench-extras:
+	cd benchmarks && PYTHONPATH=../src python -m pytest -q \
+		bench_fault_recovery.py bench_error_analysis.py \
+		bench_corpus_miners.py bench_platform_micro.py
 
 # Byte-compile everything, then run the static-analysis rule set
 # (determinism, layering, obs discipline, pattern-DB/lexicon invariants).

@@ -205,8 +205,9 @@ class DeltaSource(abc.ABC):
 class ScriptedDeltaSource(DeltaSource):
     """A pre-scripted delta stream — updates and deletes included.
 
-    The freshness bench and the segment-lifecycle tests use this to
-    replay an exact add/update/delete schedule deterministically.
+    Feeds an :class:`IngestionManager` an exact add/update/delete
+    schedule, a fixed number of deltas per poll; the ingestion tests
+    use it to check per-source delta accounting.
     """
 
     def __init__(self, deltas: Iterable[DocumentDelta], name: str = "scripted", batch_size: int = 8):

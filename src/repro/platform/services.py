@@ -1,24 +1,36 @@
-"""Hosted application services.
+"""Hosted application services and the one read-query path.
 
 "It enables the deployment of a variety of document-level and
 corpus-level miners in a scalable manner, and feeds information that
 drives end-user applications through a set of hosted Web services."
 
-These services sit behind the Vinci bus and answer the queries the
-reputation-management GUI (paper Figures 4–5) issues: per-subject
-sentiment counts, sentiment-bearing sentence listings, and boolean/phrase
-document search.
+The reputation-management GUI (paper Figures 4–5) and mode B's query
+half ask four read ops: per-subject sentiment ``counts``, the
+sentiment-bearing ``sentences`` listing, ranked ``subjects`` and
+boolean/phrase document ``search``.  This module is the only code that
+knows them.  A request goes through three steps:
 
-Every handler returns the v1 envelope from :mod:`.api` — success as
-``ok_envelope(data)``, client mistakes as ``error_envelope(code, msg)``
-flowing through Vinci as data (raising would consume retry budget on a
-call that can never succeed).  ``subjects`` and ``search`` paginate with
-opaque cursors surfaced in ``meta.cursor``.
+* :func:`validate_query` — rejects a malformed request or normalises it
+  (default ``limit``, the parsed search query);
+* :func:`partial_answer` — one index's answer, over either the unsharded
+  :class:`~.indexer.SentimentIndex`/:class:`~.indexer.InvertedIndex`
+  pair or one shard replica's snapshot views;
+* :func:`merge_answers` — folds partial answers, in shard order, into
+  the response data and its continuation cursor.
+
+:class:`QueryService` runs them over one unsharded index (a merge of
+one); the serving router (:mod:`.serving.router`) runs the same three
+over every shard.  Every handler returns the v1 envelope from
+:mod:`.api` — success as ``ok_envelope(data)``, client mistakes as
+``error_envelope(code, msg)`` flowing through Vinci as data (raising
+would consume retry budget on a call that can never succeed).
+``subjects`` and ``search`` paginate with opaque cursors surfaced in
+``meta.cursor``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..core.model import Polarity
 from .api import (
@@ -27,6 +39,7 @@ from .api import (
     ERR_NOT_FOUND,
     CursorError,
     Envelope,
+    decode_cursor,
     error_envelope,
     make_meta,
     ok_envelope,
@@ -34,65 +47,122 @@ from .api import (
 )
 from .datastore import DataStore
 from .indexer import InvertedIndex, SentimentIndex
-from .query import QueryParseError
+from .query import QueryParseError, parse_query
 from .vinci import VinciBus
 
+#: The read ops, answered by :class:`QueryService` and the serving router.
+OPS = ("counts", "sentences", "subjects", "search")
 
-def _bad_request(message: str) -> Envelope:
-    return error_envelope(ERR_BAD_REQUEST, message)
+#: Row limit when a request names none (``counts`` returns one row).
+DEFAULT_LIMITS = {"sentences": 20, "subjects": 50, "search": 100}
 
-
-def _checked_limit(
-    payload: dict[str, Any], default: int
-) -> tuple[int | None, Envelope | None]:
-    """Validated row limit, or an error envelope for the caller to return."""
-    limit = payload.get("limit", default)
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-        return None, _bad_request(f"limit must be a non-negative integer, got {limit!r}")
-    return limit, None
+#: Sort key of each paginated op's rows: a cursor resumes after one.
+SORT_KEYS: dict[str, Callable[[Any], Any]] = {
+    "subjects": lambda kv: (-kv[1], kv[0]),  # most-mentioned first, then name
+    "search": lambda entity_id: entity_id,
+}
 
 
-class SentimentQueryService:
-    """Query-time access to the sentiment index (mode B's online half)."""
-
-    def __init__(self, sentiment_index: SentimentIndex, store: DataStore):
-        self._index = sentiment_index
-        self._store = store
-
-    def counts(self, payload: dict[str, Any]) -> Envelope:
-        """``{"subject": name}`` → polarity counts."""
-        if not isinstance(payload, dict):
-            return _bad_request(f"payload must be a dict, got {type(payload).__name__}")
-        subject = payload.get("subject")
-        if not subject:
-            return _bad_request("missing required field 'subject'")
-        subject = str(subject)
-        counts = self._index.counts(subject)
-        return ok_envelope(
-            {
-                "subject": subject,
-                "positive": counts[Polarity.POSITIVE],
-                "negative": counts[Polarity.NEGATIVE],
-            }
+def _is_position(op: str, key: Any) -> bool:
+    """True when a decoded cursor position has the shape of *op*'s sort key."""
+    if op == "subjects":  # [-count, name]
+        return (
+            isinstance(key, list)
+            and len(key) == 2
+            and type(key[0]) is int
+            and isinstance(key[1], str)
         )
+    return isinstance(key, str)
 
-    def sentences(self, payload: dict[str, Any]) -> Envelope:
-        """``{"subject": name, "polarity": "+"|"-"|None, "limit": n}`` →
-        sentiment-bearing sentences, the Figure-5 listing."""
-        if not isinstance(payload, dict):
-            return _bad_request(f"payload must be a dict, got {type(payload).__name__}")
+
+def validate_query(
+    op: str, payload: Any
+) -> tuple[tuple[str, str] | None, dict[str, Any]]:
+    """``(None, normalised_payload)`` or ``((error_code, message), {})``.
+
+    The normalised payload is a copy carrying the op's ``limit`` and,
+    for ``search``, the parsed ``query_ast``, so every index evaluates
+    the query the client sent without parsing it again.
+    """
+    if op not in OPS:
+        return (ERR_BAD_REQUEST, f"unknown op {op!r}"), {}
+    if not isinstance(payload, dict):
+        return (ERR_BAD_REQUEST, "payload must be a dict envelope"), {}
+    payload = dict(payload)
+    limit = payload.get("limit", DEFAULT_LIMITS.get(op))
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+            return (
+                ERR_BAD_REQUEST,
+                f"limit must be a non-negative integer, got {limit!r}",
+            ), {}
+    payload["limit"] = limit
+    cursor = payload.get("cursor")
+    if cursor is not None:
+        if op not in SORT_KEYS:
+            return (ERR_BAD_REQUEST, f"op {op!r} does not support cursors"), {}
+        try:
+            body = decode_cursor(cursor)
+        except CursorError as exc:
+            return (ERR_BAD_CURSOR, str(exc)), {}
+        if body.get("o") != op:
+            return (
+                ERR_BAD_CURSOR,
+                f"cursor is for {body.get('o')!r} results, not {op!r}",
+            ), {}
+        if not _is_position(op, body.get("k")):
+            return (
+                ERR_BAD_CURSOR,
+                f"cursor position {body.get('k')!r} is not a {op!r} sort key",
+            ), {}
+    if op in ("counts", "sentences"):
         subject = payload.get("subject")
-        if not subject:
-            return _bad_request("missing required field 'subject'")
-        subject = str(subject)
+        if not subject or not isinstance(subject, str):
+            return (ERR_BAD_REQUEST, "missing required field 'subject'"), {}
+        polarity = payload.get("polarity")
+        if polarity not in (None, "+", "-"):
+            return (
+                ERR_BAD_REQUEST,
+                f"polarity must be '+', '-' or absent, got {polarity!r}",
+            ), {}
+    if op == "search":
+        query = payload.get("q")
+        if not query or not isinstance(query, str):
+            return (ERR_BAD_REQUEST, "missing required field 'q'"), {}
+        try:
+            payload["query_ast"] = parse_query(query)
+        except QueryParseError as exc:
+            return (ERR_BAD_REQUEST, f"bad query: {exc}"), {}
+    return None, payload
+
+
+def partial_answer(
+    op: str,
+    payload: dict[str, Any],
+    sentiment: Any,
+    inverted: Any,
+    store: DataStore,
+) -> dict[str, Any]:
+    """One index's answer to a validated request.
+
+    *sentiment* and *inverted* are the unsharded
+    :class:`~.indexer.SentimentIndex`/:class:`~.indexer.InvertedIndex`
+    or one replica snapshot's views of them; both speak ``counts``,
+    ``query``, ``subject_counts`` and ``search``.
+    """
+    if op == "counts":
+        counts = sentiment.counts(payload["subject"])
+        return {
+            "subject": payload["subject"],
+            "positive": counts[Polarity.POSITIVE],
+            "negative": counts[Polarity.NEGATIVE],
+        }
+    if op == "sentences":
         polarity = payload.get("polarity")
         wanted = Polarity.from_symbol(polarity) if polarity else None
-        limit, error = _checked_limit(payload, 20)
-        if error is not None:
-            return error
         rows = []
-        for entry in self._index.query(subject, wanted)[:limit]:
-            entity = self._store.get(entry.entity_id)
+        for entry in sentiment.query(payload["subject"], wanted)[: payload["limit"]]:
+            entity = store.get(entry.entity_id)
             snippet = ""
             if entity is not None:
                 snippet = sentence_around(entity.content, entry.start, entry.end)
@@ -103,66 +173,84 @@ class SentimentQueryService:
                     "sentence": snippet,
                 }
             )
-        return ok_envelope({"subject": subject, "rows": rows})
+        return {"subject": payload["subject"], "rows": rows}
+    if op == "subjects":
+        return {"counts": sentiment.subject_counts()}
+    return {"ids": sorted(inverted.search(payload["query_ast"]))}
+
+
+def merge_answers(
+    op: str, payload: dict[str, Any], partials: list[dict[str, Any]]
+) -> tuple[dict[str, Any], str | None]:
+    """Fold partial answers, in shard order, into ``(data, cursor)``.
+
+    ``subjects`` and ``search`` paginate with opaque cursors keyed on
+    the sort position of the last row (not an offset), so a cursor
+    minted before a segment merge still resumes correctly after it.
+    """
+    if op == "counts":
+        data = {"subject": payload["subject"], "positive": 0, "negative": 0}
+        for part in partials:
+            data["positive"] += part["positive"]
+            data["negative"] += part["negative"]
+        return data, None
+    if op == "sentences":
+        rows = [row for part in partials for row in part["rows"]]
+        return {"subject": payload["subject"], "rows": rows[: payload["limit"]]}, None
+    if op == "subjects":
+        totals: dict[str, int] = {}
+        for part in partials:
+            for subject, count in part["counts"].items():
+                totals[subject] = totals.get(subject, 0) + count
+        items: list[Any] = sorted(totals.items(), key=SORT_KEYS[op])
+    else:
+        items = sorted(set().union(*(part["ids"] for part in partials)))
+    page, cursor = paginate(
+        items,
+        limit=payload["limit"],
+        cursor=payload.get("cursor"),
+        kind=op,
+        sort_key=SORT_KEYS[op],
+    )
+    if op == "subjects":
+        return {"subjects": [name for name, _ in page]}, cursor
+    return {"q": payload["q"], "total": len(items), "ids": page}, cursor
+
+
+class QueryService:
+    """The read ops over one unsharded index pair: a merge of one."""
+
+    def __init__(
+        self, store: DataStore, index: InvertedIndex, sentiment_index: SentimentIndex
+    ):
+        self._store = store
+        self._index = index
+        self._sentiment = sentiment_index
+
+    def counts(self, payload: dict[str, Any]) -> Envelope:
+        """``{"subject": name}`` → polarity counts."""
+        return self._serve("counts", payload)
+
+    def sentences(self, payload: dict[str, Any]) -> Envelope:
+        """``{"subject": name, "polarity": "+"|"-"|None, "limit": n}`` →
+        sentiment-bearing sentences, the Figure-5 listing."""
+        return self._serve("sentences", payload)
 
     def subjects(self, payload: dict[str, Any]) -> Envelope:
         """Ranked subjects, one cursor-paginated page per call."""
-        if not isinstance(payload, dict):
-            return _bad_request(f"payload must be a dict, got {type(payload).__name__}")
-        limit, error = _checked_limit(payload, 50)
-        if error is not None:
-            return error
-        totals = self._index.subject_counts()
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-        try:
-            page, cursor = paginate(
-                ranked,
-                limit=limit,
-                cursor=payload.get("cursor"),
-                kind="subjects",
-                sort_key=lambda kv: (-kv[1], kv[0]),
-            )
-        except CursorError as exc:
-            return error_envelope(ERR_BAD_CURSOR, str(exc))
-        return ok_envelope(
-            {"subjects": [name for name, _ in page]},
-            meta=make_meta(cursor=cursor),
-        )
-
-
-class SearchService:
-    """Boolean/phrase/regex document search over the inverted index."""
-
-    def __init__(self, index: InvertedIndex):
-        self._index = index
+        return self._serve("subjects", payload)
 
     def search(self, payload: dict[str, Any]) -> Envelope:
-        if not isinstance(payload, dict):
-            return _bad_request(f"payload must be a dict, got {type(payload).__name__}")
-        query = payload.get("q", "")
-        if not query:
-            return _bad_request("missing required field 'q'")
-        limit, error = _checked_limit(payload, 100)
+        """``{"q": query}`` → matching entity ids, cursor-paginated."""
+        return self._serve("search", payload)
+
+    def _serve(self, op: str, payload: Any) -> Envelope:
+        error, payload = validate_query(op, payload)
         if error is not None:
-            return error
-        try:
-            ids = self._index.search(query)
-        except QueryParseError as exc:
-            return _bad_request(f"bad query: {exc}")
-        try:
-            page, cursor = paginate(
-                sorted(ids),
-                limit=limit,
-                cursor=payload.get("cursor"),
-                kind="search",
-                sort_key=lambda entity_id: entity_id,
-            )
-        except CursorError as exc:
-            return error_envelope(ERR_BAD_CURSOR, str(exc))
-        return ok_envelope(
-            {"q": query, "total": len(ids), "ids": page},
-            meta=make_meta(cursor=cursor),
-        )
+            return error_envelope(*error)
+        part = partial_answer(op, payload, self._sentiment, self._index, self._store)
+        data, cursor = merge_answers(op, payload, [part])
+        return ok_envelope(data, meta=make_meta(cursor=cursor))
 
 
 class StoreService:
@@ -172,6 +260,8 @@ class StoreService:
         self._store = store
 
     def get(self, payload: dict[str, Any]) -> Envelope:
+        if not isinstance(payload, dict):
+            return error_envelope(ERR_BAD_REQUEST, "payload must be a dict envelope")
         entity_id = payload.get("entity_id", "")
         entity = self._store.get(entity_id)
         if entity is None:
@@ -189,14 +279,13 @@ def register_services(
     sentiment_index: SentimentIndex,
 ) -> list[str]:
     """Wire the standard application services onto the bus."""
-    sentiment = SentimentQueryService(sentiment_index, store)
-    search = SearchService(index)
+    queries = QueryService(store, index, sentiment_index)
     storage = StoreService(store)
     bindings = {
-        "sentiment.counts": sentiment.counts,
-        "sentiment.sentences": sentiment.sentences,
-        "sentiment.subjects": sentiment.subjects,
-        "search.query": search.search,
+        "sentiment.counts": queries.counts,
+        "sentiment.sentences": queries.sentences,
+        "sentiment.subjects": queries.subjects,
+        "search.query": queries.search,
         "store.get": storage.get,
         "store.stats": storage.stats,
     }

@@ -24,9 +24,9 @@ from .loadgen import (
     build_scenario,
     percentile,
 )
+from ..services import OPS
 from .router import (
     DEFAULT_BUDGET,
-    OPS,
     STATUS_CODES,
     STATUS_DEGRADED,
     STATUS_ERROR,

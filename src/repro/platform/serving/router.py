@@ -23,6 +23,12 @@ replicas live on simulated nodes behind the Vinci bus:
   in ``missing_shards`` and the response is flagged ``degraded`` with
   partial counts instead of erroring.
 
+What a request *means* lives in :mod:`repro.platform.services`, the
+one read-query path the hosted services use too.  The router checks
+the budget and runs its ``validate_query``; each node endpoint answers
+with ``partial_answer`` over its pinned replica snapshot; and
+``merge_answers`` folds the shard answers in shard order.
+
 All timing is simulated (:class:`~repro.obs.clock.SimClock`) and all
 randomness is seeded, so a chaos run produces byte-identical reports
 for a given seed.
@@ -35,28 +41,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from ...core.model import Polarity
 from ...obs import Obs
 from ...obs.context import ROOT, extract_context, with_trace
 from ...obs.slo import SLOMonitor
 from ..api import (
-    ERR_BAD_CURSOR,
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
     ERR_SHED,
-    CursorError,
     Envelope,
-    decode_cursor,
     error_envelope,
     make_meta,
     ok_envelope,
-    paginate,
 )
 from ..datastore import DataStore
 from ..faults import FaultPlan
-from ..query import QueryParseError, parse_query
 from ..segments import ReplicaSnapshot
-from ..services import sentence_around
+from ..services import OPS, merge_answers, partial_answer, validate_query
 from ..vinci import VinciBus, VinciError
 from .breaker import CircuitBreaker
 from .deadline import Deadline
@@ -77,14 +77,8 @@ STATUS_CODES = {
     STATUS_EXPIRED: 504,
 }
 
-#: Ops answered by the serving layer.
-OPS = ("counts", "sentences", "subjects", "search")
-
 #: Default request budget, in simulated work units.
 DEFAULT_BUDGET = 4.0
-
-#: Default per-op row limits (mirror the unsharded services).
-_DEFAULT_LIMITS = {"sentences": 20, "subjects": 50, "search": 100}
 
 #: Budget handed to recovery probes — tiny on purpose: a probe that
 #: cannot answer a ping almost instantly should not be re-admitted.
@@ -149,8 +143,9 @@ class NodeIndexService:
     """One node's serving endpoint: every shard replica it hosts.
 
     The Vinci-facing :meth:`handle` unpacks the propagated budget into a
-    :class:`Deadline` and dispatches to the per-op ``answer_*`` methods,
-    all of which take the deadline explicitly (lint rule PLAT002).
+    :class:`Deadline` and hands it to :meth:`answer_ping` or
+    :meth:`answer_query`, both of which take the deadline explicitly
+    (lint rule PLAT002).
     """
 
     def __init__(
@@ -215,72 +210,28 @@ class NodeIndexService:
                     f"node {self.node_id} hosts no replica of shard {shard_id!r}"
                 )
             snapshot = replica.view(payload.get("version"))
-            if op == "counts":
-                return self.answer_counts(snapshot, payload, deadline)
-            if op == "sentences":
-                return self.answer_sentences(snapshot, payload, deadline)
-            if op == "subjects":
-                return self.answer_subjects(snapshot, payload, deadline)
-            if op == "search":
-                return self.answer_search(snapshot, payload, deadline)
-            raise VinciError(f"unknown serving op {op!r}")
+            if op not in OPS:
+                raise VinciError(f"unknown serving op {op!r}")
+            return self.answer_query(snapshot, payload, deadline)
 
-    # -- per-op answers (each accepts and honours the propagated Deadline) ------
+    # -- answers (each accepts and honours the propagated Deadline) -------------
 
     def answer_ping(self, payload: dict[str, Any], deadline: Deadline) -> Envelope:
         """Liveness probe: reaching this line at all means the node is up."""
         deadline.check("ping")
         return ok_envelope({"node": self.node_id, "status": "up"})
 
-    def answer_counts(
+    def answer_query(
         self, snapshot: ReplicaSnapshot, payload: dict[str, Any], deadline: Deadline
     ) -> Envelope:
-        deadline.check("counts")
-        subject = payload["subject"]
-        counts = snapshot.sentiment.counts(subject)
+        """This shard's partial answer to one read op, at the pinned version."""
+        op = payload["op"]
+        deadline.check(op)
         return ok_envelope(
-            {
-                "subject": subject,
-                "positive": counts[Polarity.POSITIVE],
-                "negative": counts[Polarity.NEGATIVE],
-            }
-        )
-
-    def answer_sentences(
-        self, snapshot: ReplicaSnapshot, payload: dict[str, Any], deadline: Deadline
-    ) -> Envelope:
-        deadline.check("sentences")
-        subject = payload["subject"]
-        polarity = payload.get("polarity")
-        wanted = Polarity.from_symbol(polarity) if polarity else None
-        limit = payload.get("limit", _DEFAULT_LIMITS["sentences"])
-        rows = []
-        for entry in snapshot.sentiment.query(subject, wanted)[:limit]:
-            entity = self._store.get(entry.entity_id)
-            snippet = ""
-            if entity is not None:
-                snippet = sentence_around(entity.content, entry.start, entry.end)
-            rows.append(
-                {
-                    "entity_id": entry.entity_id,
-                    "polarity": entry.polarity.value,
-                    "sentence": snippet,
-                }
+            partial_answer(
+                op, payload, snapshot.sentiment, snapshot.inverted, self._store
             )
-        return ok_envelope({"subject": subject, "rows": rows})
-
-    def answer_subjects(
-        self, snapshot: ReplicaSnapshot, payload: dict[str, Any], deadline: Deadline
-    ) -> Envelope:
-        deadline.check("subjects")
-        return ok_envelope({"counts": snapshot.sentiment.subject_counts()})
-
-    def answer_search(
-        self, snapshot: ReplicaSnapshot, payload: dict[str, Any], deadline: Deadline
-    ) -> Envelope:
-        deadline.check("search")
-        ids = snapshot.inverted.search(payload["query_ast"])
-        return ok_envelope({"ids": sorted(ids)})
+        )
 
 
 class ServingRouter:
@@ -425,10 +376,16 @@ class ServingRouter:
         priority: int = 1,
         budget: float = DEFAULT_BUDGET,
     ) -> ServingRequest:
+        # Copy a dict payload; anything else goes through as sent, so
+        # validation rejects it with an envelope.
+        if payload is None:
+            payload = {}
+        elif isinstance(payload, dict):
+            payload = dict(payload)
         request = ServingRequest(
             request_id=self._next_request_id,
             op=op,
-            payload=dict(payload or {}),
+            payload=payload,
             priority=priority,
             budget=budget,
         )
@@ -448,7 +405,10 @@ class ServingRouter:
         """
         now = self._obs.clock.now
         self._obs.metrics.counter("serving.requests", op=request.op or "?").inc()
-        error, payload = self._validate(request)
+        if request.budget <= 0:
+            error, payload = (ERR_BAD_REQUEST, "budget must be positive"), {}
+        else:
+            error, payload = validate_query(request.op, request.payload)
         if error is not None:
             code, message = error
             return self._finish_rooted(
@@ -519,63 +479,6 @@ class ServingRouter:
                 return envelope
         raise AssertionError("submitted request vanished from the queue")
 
-    # -- validation -------------------------------------------------------------
-
-    def _validate(
-        self, request: ServingRequest
-    ) -> tuple[tuple[str, str] | None, dict[str, Any]]:
-        """Returns ``((error_code, message), {})`` or ``(None, payload)``."""
-        if request.op not in OPS:
-            return (ERR_BAD_REQUEST, f"unknown op {request.op!r}"), {}
-        if not isinstance(request.payload, dict):
-            return (ERR_BAD_REQUEST, "payload must be a dict envelope"), {}
-        if request.budget <= 0:
-            return (ERR_BAD_REQUEST, "budget must be positive"), {}
-        payload = dict(request.payload)
-        limit = payload.get("limit", _DEFAULT_LIMITS.get(request.op))
-        if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-                return (
-                    ERR_BAD_REQUEST,
-                    f"limit must be a non-negative integer, got {limit!r}",
-                ), {}
-        payload["limit"] = limit
-        cursor = payload.get("cursor")
-        if cursor is not None:
-            if request.op not in ("subjects", "search"):
-                return (
-                    ERR_BAD_REQUEST,
-                    f"op {request.op!r} does not support cursors",
-                ), {}
-            try:
-                body = decode_cursor(cursor)
-            except CursorError as exc:
-                return (ERR_BAD_CURSOR, str(exc)), {}
-            if body.get("o") != request.op:
-                return (
-                    ERR_BAD_CURSOR,
-                    f"cursor is for {body.get('o')!r} results, not {request.op!r}",
-                ), {}
-        if request.op in ("counts", "sentences"):
-            subject = payload.get("subject")
-            if not subject or not isinstance(subject, str):
-                return (ERR_BAD_REQUEST, "missing required field 'subject'"), {}
-            polarity = payload.get("polarity")
-            if polarity not in (None, "+", "-"):
-                return (
-                    ERR_BAD_REQUEST,
-                    f"polarity must be '+', '-' or absent, got {polarity!r}",
-                ), {}
-        if request.op == "search":
-            query = payload.get("q")
-            if not query or not isinstance(query, str):
-                return (ERR_BAD_REQUEST, "missing required field 'q'"), {}
-            try:
-                payload["query_ast"] = parse_query(query)
-            except QueryParseError as exc:
-                return (ERR_BAD_REQUEST, f"bad query: {exc}"), {}
-        return None, payload
-
     # -- the serving pipeline ---------------------------------------------------
 
     def _process(self, entry: _QueueEntry) -> Envelope:
@@ -642,7 +545,9 @@ class ServingRouter:
                 hedged=hedged,
                 message="deadline expired during shard reads",
             )
-        data, cursor = self._merge(request.op, payload, shard_ids, results)
+        data, cursor = merge_answers(
+            request.op, payload, [results[s] for s in shard_ids if s in results]
+        )
         status = STATUS_OK if not missing else STATUS_DEGRADED
         return self._finish(
             request,
@@ -765,62 +670,7 @@ class ServingRouter:
         index = int(self._hedge_percentile * (len(ordered) - 1))
         return ordered[index]
 
-    # -- merging & envelopes ----------------------------------------------------
-
-    def _merge(
-        self,
-        op: str,
-        payload: dict[str, Any],
-        shard_ids: list[int],
-        results: dict[int, dict[str, Any]],
-    ) -> tuple[dict[str, Any], str | None]:
-        """Merge shard answers; returns ``(data, continuation_cursor)``.
-
-        ``subjects`` and ``search`` paginate with opaque cursors keyed on
-        the sort position of the last row (not an offset), so a cursor
-        minted before a segment merge still resumes correctly after it.
-        """
-        if op == "counts":
-            data = {"subject": payload["subject"], "positive": 0, "negative": 0}
-            for shard_data in results.values():
-                data["positive"] += shard_data["positive"]
-                data["negative"] += shard_data["negative"]
-            return data, None
-        if op == "sentences":
-            rows: list[dict[str, Any]] = []
-            for shard_id in shard_ids:
-                rows.extend(results.get(shard_id, {}).get("rows", ()))
-            return (
-                {"subject": payload["subject"], "rows": rows[: payload["limit"]]},
-                None,
-            )
-        if op == "subjects":
-            totals: dict[str, int] = {}
-            for shard_id in shard_ids:
-                for subject, count in results.get(shard_id, {}).get("counts", {}).items():
-                    totals[subject] = totals.get(subject, 0) + count
-            ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-            page, cursor = paginate(
-                ranked,
-                limit=payload["limit"],
-                cursor=payload.get("cursor"),
-                kind="subjects",
-                sort_key=lambda kv: (-kv[1], kv[0]),
-            )
-            return {"subjects": [name for name, _ in page]}, cursor
-        if op == "search":
-            ids: set[str] = set()
-            for shard_id in shard_ids:
-                ids.update(results.get(shard_id, {}).get("ids", ()))
-            page, cursor = paginate(
-                sorted(ids),
-                limit=payload["limit"],
-                cursor=payload.get("cursor"),
-                kind="search",
-                sort_key=lambda entity_id: entity_id,
-            )
-            return {"q": payload["q"], "total": len(ids), "ids": page}, cursor
-        raise AssertionError(f"unhandled op {op!r}")  # pragma: no cover
+    # -- envelopes -------------------------------------------------------------
 
     def _finish(
         self,

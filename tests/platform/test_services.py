@@ -9,18 +9,18 @@ import pytest
 
 from repro.core.model import Polarity, SentimentJudgment, Spot, Subject
 from repro.nlp.tokens import Span
-from repro.platform.api import API_VERSION, validate_envelope
+from repro.platform.api import API_VERSION, encode_cursor, validate_envelope
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Entity
 from repro.platform.indexer import InvertedIndex, SentimentIndex
+from repro.platform.retry import RetryPolicy
 from repro.platform.services import register_services
 from repro.platform.vinci import VinciBus
 
 CONTENT = "Intro sentence. The NR70 takes excellent pictures. Outro here."
 
 
-@pytest.fixture()
-def stack():
+def build_stack(bus):
     store = DataStore(num_partitions=2)
     entity = Entity(entity_id="d1", content=CONTENT)
     store.store(entity)
@@ -34,9 +34,13 @@ def stack():
             polarity=Polarity.POSITIVE,
         )
     )
-    bus = VinciBus()
     register_services(bus, store, index, sidx)
     return bus
+
+
+@pytest.fixture()
+def stack():
+    return build_stack(VinciBus())
 
 
 def ok_data(envelope):
@@ -240,3 +244,28 @@ class TestRequestHardening:
         assert ok_data(out)["rows"] == []
         out = stack.request("sentiment.subjects", {"limit": 1})
         assert ok_data(out)["subjects"] == ["nr70"]
+
+
+class TestClientMistakesAreNotRetried:
+    """A client mistake is an error envelope on the first attempt: a
+    retrying bus never re-sends it, so no backoff is charged."""
+
+    @pytest.mark.parametrize(
+        "service,payload,code",
+        [
+            ("sentiment.sentences", {"subject": "NR70", "polarity": "x"}, "bad_request"),
+            (
+                "search.query",
+                {"q": "pictures", "cursor": encode_cursor({"o": "search", "k": 5})},
+                "bad_cursor",
+            ),
+            ("store.get", ["not", "a", "dict"], "bad_request"),
+        ],
+    )
+    def test_error_envelope_without_retry(self, service, payload, code):
+        bus = build_stack(VinciBus(retry_policy=RetryPolicy()))
+        out = bus.request(service, payload)
+        assert error_of(out)["code"] == code
+        assert bus.retry_stats.retries == 0
+        assert bus.retry_stats.exhausted == 0
+        assert bus.retry_stats.backoff_cost == 0.0

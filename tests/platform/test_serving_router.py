@@ -13,7 +13,7 @@ import pytest
 from repro.core.model import Polarity, SentimentJudgment, Spot, Subject
 from repro.nlp.tokens import Span
 from repro.obs import Obs
-from repro.platform.api import validate_envelope
+from repro.platform.api import encode_cursor, validate_envelope
 from repro.platform.datastore import DataStore
 from repro.platform.entity import Entity
 from repro.platform.faults import FaultPlan
@@ -435,3 +435,45 @@ class TestRouterPagination:
             if cursor is None:
                 break
         assert seen == ["d1", "d2"]
+
+
+#: Cursors that decode but name no usable position (op, payload).
+MALFORMED_CURSORS = [
+    pytest.param("subjects", {"cursor": encode_cursor({"o": "subjects"})}, id="no-key"),
+    pytest.param(
+        "search",
+        {"q": "nr70", "cursor": encode_cursor({"o": "search", "k": 5})},
+        id="int-key-on-search",
+    ),
+    pytest.param(
+        "subjects",
+        {"cursor": encode_cursor({"o": "subjects", "k": {"x": 1}})},
+        id="dict-key-on-subjects",
+    ),
+]
+
+
+class TestMalformedCursors:
+    """A cursor without a well-typed position key is a ``bad_cursor``
+    envelope, and it never takes a queued request down with it."""
+
+    @pytest.mark.parametrize("op,payload", MALFORMED_CURSORS)
+    def test_serve_returns_bad_cursor(self, op, payload):
+        _, _, _, router = build_stack()
+        envelope = router.serve(op, payload)
+        assert meta_of(envelope)["status"] == "error"
+        assert envelope["error"]["code"] == "bad_cursor"
+
+    @pytest.mark.parametrize("op,payload", MALFORMED_CURSORS)
+    def test_requests_queued_around_it_are_served(self, op, payload):
+        _, _, _, router = build_stack()
+        before = router.make_request("counts", {"subject": "NR70"})
+        assert router.submit(before) is None
+        rejected = router.submit(router.make_request(op, payload))
+        assert rejected["error"]["code"] == "bad_cursor"
+        after = router.make_request("subjects")
+        assert router.submit(after) is None
+        outcomes = {req.request_id: env for req, env in router.drain()}
+        assert set(outcomes) == {before.request_id, after.request_id}
+        assert outcomes[before.request_id]["data"]["positive"] == 2
+        assert outcomes[after.request_id]["data"]["subjects"] == ["nr70", "g3"]
