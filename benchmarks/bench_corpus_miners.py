@@ -1,93 +1,32 @@
-"""Benchmarks for the other WebFountain miners the paper names.
+"""Benchmark for the aggregate-statistics corpus miner.
 
 "Examples of [corpus]-level miners are computing aggregate statistics,
-duplicate detection, trending, and clustering" — plus the entity-level
-examples: geographic context and template detection, and the page-ranking
-miner.  Each runs through the simulated cluster's map/reduce path.
+duplicate detection, trending, and clustering."  Of these the
+reproduction keeps aggregate statistics (the chaos tests exercise it
+too) and trending (``examples/trend_tracking.py``); this benchmark runs
+aggregate statistics through the simulated cluster's map/reduce path.
 """
 
 from conftest import run_once
 
 from repro.corpora import DIGITAL_CAMERA, MUSIC, ReviewGenerator
 from repro.eval import format_table
-from repro.miners import (
-    AggregateStatisticsMiner,
-    ClusteringMiner,
-    DuplicateDetectionMiner,
-    TemplateDetectionMiner,
-)
-from repro.platform import Cluster, CrawlPage, DataStore, Entity, WebCrawler, rank_entities
+from repro.miners import AggregateStatisticsMiner
+from repro.platform import Cluster, DataStore, Entity
 
 
-def _review_store(scale: float, seed: int, duplicate_fraction: float = 0.1) -> DataStore:
+def _review_store(scale: float, seed: int) -> DataStore:
     store = DataStore(num_partitions=8)
     camera = ReviewGenerator(DIGITAL_CAMERA, seed=seed).generate_dplus(max(10, int(120 * scale)))
     music = ReviewGenerator(MUSIC, seed=seed + 1).generate_dplus(max(10, int(80 * scale)))
     documents = camera + music
     for document in documents:
         store.store(Entity(entity_id=document.doc_id, content=document.text))
-    # Mirror a slice of pages: the crawl picked them up twice.
-    for document in documents[: int(len(documents) * duplicate_fraction)]:
-        store.store(Entity(entity_id=document.doc_id + ":mirror", content=document.text))
     return store
 
 
-def test_duplicate_detection_cluster(benchmark, scale, seed, report):
-    store = _review_store(scale, seed)
-    miner = DuplicateDetectionMiner(threshold=0.9)
-
-    def run():
-        merged, _ = Cluster(store, num_nodes=4).run_corpus_miner(miner)
-        return miner.pairs(merged)
-
-    pairs = run_once(benchmark, run)
-    mirrors = [p for p in pairs if p.second.endswith(":mirror")]
-    report(
-        format_table(
-            ["metric", "value"],
-            [["documents", len(store)], ["duplicate pairs", len(pairs)], ["mirror pairs found", len(mirrors)]],
-            title="Duplicate detection (MinHash + LSH) over the cluster",
-        )
-    )
-    expected_mirrors = sum(1 for e in store.scan() if e.entity_id.endswith(":mirror"))
-    assert len(mirrors) == expected_mirrors  # every planted mirror found
-    assert all(p.similarity == 1.0 for p in mirrors)
-
-
-def test_clustering_separates_domains(benchmark, scale, seed, report):
-    store = _review_store(scale, seed, duplicate_fraction=0.0)
-    miner = ClusteringMiner(k=2, seed=seed)
-
-    def run():
-        merged, _ = Cluster(store, num_nodes=4).run_corpus_miner(miner)
-        return miner.cluster(merged)
-
-    result = run_once(benchmark, run)
-    camera_ids = [e for e in result.assignments if e.startswith("digital_camera")]
-    music_ids = [e for e in result.assignments if e.startswith("music")]
-    camera_majority = max(
-        (sum(1 for e in camera_ids if result.assignments[e] == c), c) for c in range(2)
-    )
-    music_majority = max(
-        (sum(1 for e in music_ids if result.assignments[e] == c), c) for c in range(2)
-    )
-    purity = (camera_majority[0] + music_majority[0]) / len(result.assignments)
-    report(
-        format_table(
-            ["cluster", "top terms", "members"],
-            [
-                [c, ", ".join(result.top_terms[c]), len(result.members(c))]
-                for c in range(result.num_clusters)
-            ],
-            title=f"TF-IDF k-means clustering (purity {purity:.0%})",
-        )
-    )
-    assert purity >= 0.9
-    assert camera_majority[1] != music_majority[1]
-
-
 def test_aggregate_statistics(benchmark, scale, seed, report):
-    store = _review_store(scale, seed, duplicate_fraction=0.0)
+    store = _review_store(scale, seed)
 
     def run():
         merged, _ = Cluster(store, num_nodes=4).run_corpus_miner(AggregateStatisticsMiner())
@@ -109,40 +48,3 @@ def test_aggregate_statistics(benchmark, scale, seed, report):
     )
     assert stats.documents == len(store)
     assert stats.vocabulary_size > 100
-
-
-def test_template_detection_and_pagerank(benchmark, scale, seed, report):
-    # A synthetic site: hub + article pages sharing navigation boilerplate.
-    boiler = "Welcome to the review portal navigation bar."
-    pages = {"http://portal/hub": CrawlPage("http://portal/hub", f"{boiler} Start here.", links=tuple(f"http://portal/p{i}" for i in range(6)))}
-    for i in range(6):
-        pages[f"http://portal/p{i}"] = CrawlPage(
-            f"http://portal/p{i}",
-            f"{boiler} Unique article number {i} about cameras.",
-            links=("http://portal/hub",),
-        )
-    entities = list(WebCrawler(pages, ["http://portal/hub"]).fetch())
-    store = DataStore(num_partitions=4)
-    store.store_all(entities)
-    miner = TemplateDetectionMiner(min_pages=3, min_fraction=0.5)
-
-    def run():
-        merged, _ = Cluster(store, num_nodes=2).run_corpus_miner(miner)
-        marked = miner.annotate_corpus(list(store.scan()), merged)
-        ranked = rank_entities(store.scan())
-        return marked, ranked
-
-    marked, ranked = run_once(benchmark, run)
-    report(
-        format_table(
-            ["metric", "value"],
-            [
-                ["boilerplate sentences marked", marked],
-                ["top-ranked page", ranked[0][0]],
-                ["top score", f"{ranked[0][1]:.3f}"],
-            ],
-            title="Template detection + page ranking over a crawled site",
-        )
-    )
-    assert marked == 7  # the shared navigation line on each page
-    assert ranked[0][0] == "http://portal/hub"  # the hub collects the rank

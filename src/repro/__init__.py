@@ -15,27 +15,10 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from .core import (
-    Polarity,
-    SentimentAnalyzer,
-    SentimentJudgment,
-    SentimentLexicon,
-    SentimentMiner,
-    SentimentPatternDB,
-    Subject,
-    default_lexicon,
-    default_pattern_db,
-)
+from .core import SentimentAnalyzer, Subject
 
 __all__ = [
-    "Polarity",
     "SentimentAnalyzer",
-    "SentimentJudgment",
-    "SentimentLexicon",
-    "SentimentMiner",
-    "SentimentPatternDB",
     "Subject",
     "__version__",
-    "default_lexicon",
-    "default_pattern_db",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .cache import CACHE_FILENAME, CACHE_SCHEMA_VERSION, LintCache
+from .cache import CACHE_FILENAME, CACHE_SCHEMA_VERSION
 from .code_rules import (
     EnvelopeSchemaRule,
     LayeringRule,
@@ -48,17 +48,9 @@ from .data_rules import (
     PatternSyntaxRule,
     default_data_rules,
 )
-from .engine import (
-    ENGINE_RULE,
-    CodeRule,
-    DataRule,
-    Linter,
-    LintReport,
-    ProgramRule,
-    Rule,
-)
+from .engine import Linter, LintReport, Rule
 from .findings import Finding, Severity
-from .program import Program, build_program, summarize_module
+from .program import build_program, summarize_module
 from .program_rules import (
     DeadSymbolRule,
     DeadlinePropagationRule,
@@ -100,8 +92,9 @@ def build_linter(
     conventional file is searched for from the current directory upward.
     The directory holding the config doubles as the project root: the
     incremental cache lives there (``.lint-cache.json``) and its
-    ``tests``/``benchmarks`` directories become DEAD001's reference
-    roots.  ``use_cache=False`` disables reading and writing the cache.
+    ``tests``/``benchmarks``/``examples``/``perfbench`` directories
+    become DEAD001's reference roots.  ``use_cache=False`` disables
+    reading and writing the cache.
     """
     if config_path is None:
         found = find_suppression_config()
@@ -113,7 +106,7 @@ def build_linter(
     root = found.parent if found is not None else Path.cwd()
     reference_roots = tuple(
         str(root / name)
-        for name in ("tests", "benchmarks", "examples")
+        for name in ("tests", "benchmarks", "examples", "perfbench")
         if (root / name).is_dir()
     )
     if use_cache and cache_path is None:
@@ -139,17 +132,13 @@ def all_rules() -> list[Rule]:
 __all__ = [
     "CACHE_FILENAME",
     "CACHE_SCHEMA_VERSION",
-    "CodeRule",
-    "DataRule",
     "DeadSymbolRule",
     "DeadlinePropagationRule",
-    "ENGINE_RULE",
     "EnvelopeSchemaRule",
     "Finding",
     "LayeringRule",
     "LexiconConflictRule",
     "LexiconPosRule",
-    "LintCache",
     "LintReport",
     "Linter",
     "MetricNameRule",
@@ -157,8 +146,6 @@ __all__ = [
     "PatternDuplicateRule",
     "PatternPredicateRule",
     "PatternSyntaxRule",
-    "Program",
-    "ProgramRule",
     "ResourcePairRule",
     "RngFlowRule",
     "Rule",

@@ -28,9 +28,10 @@ graph, summaries, CFGs — built once per lint run:
   (DESIGN.md §5j).
 * **DEAD001** dead public symbols: module-level functions, classes and
   assignments referenced nowhere in the project — src plus the
-  *reference roots* (tests/, benchmarks/), which count as users but are
-  not themselves analyzed.  Import-bindings are only reported when the
-  module re-exports them via ``__all__`` (the compat-shim case).
+  *reference roots* (tests/, benchmarks/, examples/, perfbench/), which
+  count as users but are not themselves analyzed.  An ``__all__``
+  re-export is reported when nothing imports through it, and it keeps
+  the name it binds alive only while something uses the re-export.
 
 All rules yield findings sorted by (path, line, message) so report
 order is stable run to run.
@@ -750,14 +751,17 @@ class DeadSymbolRule(ProgramRule):
     """Module-level symbols nothing references anywhere (DEAD001).
 
     "Anywhere" means the analyzed program plus the *reference roots*
-    (tests/, benchmarks/) — files that are scanned for imports and
-    attribute accesses but not themselves analyzed, so a test-only API
-    is alive while a re-export no test or module touches is dead.  The
-    worked example: the ``platform/{entity,miners}.py`` compat shims
-    re-export names (``__all__`` + import binding) that nothing imports
-    through them anymore.  Import bindings are reported only when the
-    module advertises them via ``__all__``; underscore names, dunders,
-    ``main`` and package ``__init__``/``__main__`` files are exempt.
+    (tests/, benchmarks/, examples/, perfbench/) — files that are
+    scanned for imports and attribute accesses but not themselves
+    analyzed, so a test-only API is alive while a re-export no test or
+    module touches is dead.  A *re-export* is an import binding the
+    module lists in ``__all__``: it is not itself a use of the name it
+    binds, but every use of the re-export is (``repro.nlp.X`` keeps
+    ``repro/nlp/<module>.X`` alive), so a package ``__init__`` cannot
+    keep a name alive by re-exporting it.  Import bindings are reported
+    only when re-exported, and never when they bind a module (a
+    submodule is reached by its own dotted name); underscore names,
+    dunders, ``main`` and ``__main__`` files are exempt.
     """
 
     rule_id = "DEAD001"
@@ -765,22 +769,24 @@ class DeadSymbolRule(ProgramRule):
     severity = Severity.WARNING
     invariant = (
         "every public module-level symbol is referenced somewhere in the "
-        "project (src, tests, or benchmarks)"
+        "project (src, tests, benchmarks, examples, or perfbench)"
     )
 
     def __init__(self, reference_roots: tuple[str, ...] = ()):
         self.reference_roots = tuple(str(r) for r in reference_roots)
 
     EXEMPT_NAMES = frozenset({"main"})
-    EXEMPT_FILES = ("__init__.py", "__main__.py")
+    EXEMPT_FILES = ("__main__.py",)
 
     def check(self, program: Program) -> Iterator[Finding]:
+        origins, reexport_targets = self._reexports(program)
         used: set[tuple[str, str]] = set()
         for summary in program.modules.values():
+            skip = reexport_targets.get(summary.modpath, set())
             self._mark_source(
                 program,
                 used,
-                imports=[t for t, _ in summary.import_targets],
+                imports=[t for t, _ in summary.import_targets if t not in skip],
                 stars=summary.star_imports,
                 base_attrs=summary.base_attr_refs,
                 aliases=summary.aliases,
@@ -790,6 +796,14 @@ class DeadSymbolRule(ProgramRule):
                 used.add((summary.modpath, name))
         for scan in self._scan_reference_roots():
             self._mark_source(program, used, **scan)
+        # A use of a re-export is a use of what it binds, transitively.
+        pending = [key for key in used if key in origins]
+        while pending:
+            origin = origins[pending.pop()]
+            if origin not in used:
+                used.add(origin)
+                if origin in origins:
+                    pending.append(origin)
         findings: list[Finding] = []
         for modpath, summary in program.modules.items():
             if not self.applies_to(modpath):
@@ -799,7 +813,10 @@ class DeadSymbolRule(ProgramRule):
             for name, (kind, lineno) in sorted(summary.top_symbols.items()):
                 if name.startswith("_") or name in self.EXEMPT_NAMES:
                     continue
-                if kind == "import" and name not in summary.all_exports:
+                if kind == "import" and (
+                    name not in summary.all_exports
+                    or self._binds_module(program, summary.aliases.get(name))
+                ):
                     continue
                 if (modpath, name) in used:
                     continue
@@ -807,13 +824,46 @@ class DeadSymbolRule(ProgramRule):
                 findings.append(
                     self.finding(
                         f"public {what} {name!r} is referenced nowhere in "
-                        "the project (src, tests, benchmarks); delete it or "
-                        "add the missing consumer",
+                        "the project (src, tests, benchmarks, examples, "
+                        "perfbench); delete it or add the missing consumer",
                         path=summary.path,
                         line=lineno,
                     )
                 )
         return _sorted(findings)
+
+    @staticmethod
+    def _binds_module(program: Program, entry: tuple[str, ...] | None) -> bool:
+        """Whether an import binding names a module, not a symbol."""
+        if entry is None or entry[0] == "module":
+            return True
+        return program.resolve_module(f"{entry[1]}.{entry[2]}") is not None
+
+    @staticmethod
+    def _reexports(
+        program: Program,
+    ) -> tuple[dict[tuple[str, str], tuple[str, str]], dict[str, set[str]]]:
+        """Each re-export's origin symbol, and each module's re-export
+        import targets (which therefore do not count as uses)."""
+        origins: dict[tuple[str, str], tuple[str, str]] = {}
+        targets: dict[str, set[str]] = {}
+        for modpath, summary in program.modules.items():
+            for name in summary.all_exports:
+                entry = summary.aliases.get(name)
+                if (
+                    summary.top_symbols.get(name, ("",))[0] != "import"
+                    or entry is None
+                    or entry[0] != "member"
+                ):
+                    continue
+                targets.setdefault(modpath, set()).add(f"{entry[1]}.{entry[2]}")
+                source = program.resolve_module(entry[1])
+                if (
+                    source is not None
+                    and entry[2] in program.modules[source].top_symbols
+                ):
+                    origins[(modpath, name)] = (source, entry[2])
+        return origins, targets
 
     def _mark_source(
         self,

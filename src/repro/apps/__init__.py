@@ -1,12 +1,7 @@
 """End-user applications built on the platform (the paper's use case)."""
 
-from .reputation import ReputationManager, ReputationSummary
-from .trends import TrendPoint, TrendSeries, TrendTracker
+from .reputation import ReputationManager
 
 __all__ = [
     "ReputationManager",
-    "ReputationSummary",
-    "TrendPoint",
-    "TrendSeries",
-    "TrendTracker",
 ]

@@ -20,7 +20,7 @@ the paper's screenshots mask them.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..core.analyzer import SentimentAnalyzer

@@ -1,10 +1,9 @@
 """Comparator algorithms the paper evaluates against (Tables 4–5)."""
 
 from .collocation import CollocationBaseline
-from .reviewseer import ClassifierScores, ReviewSeerClassifier, extract_features
+from .reviewseer import ReviewSeerClassifier, extract_features
 
 __all__ = [
-    "ClassifierScores",
     "CollocationBaseline",
     "ReviewSeerClassifier",
     "extract_features",

@@ -13,94 +13,28 @@ Public API highlights:
   resources of Section 4.2.
 """
 
-from .analyzer import ClauseAssignment, SentimentAnalyzer
-from .context import ContextBuilder, ContextWindowRule, SentimentContext
-from .entity import Annotation, Entity
-from .disambiguation import (
-    DisambiguationConfig,
-    DisambiguationResult,
-    Disambiguator,
-    TopicTermSet,
-    idf_from_documents,
-)
-from .features import (
-    FeatureExtractionConfig,
-    FeatureExtractor,
-    likelihood_ratio,
-)
-from .lexicon import LexiconEntry, SentimentLexicon, default_lexicon
-from .miner import MiningResult, MiningStats, SentimentMiner
-from .mining import (
-    CorpusMiner,
-    EntityMiner,
-    EntityStore,
-    MinerPipeline,
-    PipelineError,
-    PipelineReport,
-    run_corpus_miner,
-)
-from .model import (
-    FeatureTerm,
-    Polarity,
-    Provenance,
-    SentimentJudgment,
-    Spot,
-    Subject,
-)
-from .patterns import (
-    ComponentRef,
-    SentimentPattern,
-    SentimentPatternDB,
-    default_pattern_db,
-    parse_pattern_line,
-)
-from .phrase import PhraseScorer, PhraseSentiment
-from .spotting import AhoCorasickSpotter, NamedEntitySpotter, SubjectSpotter, TermCollision
+from .analyzer import SentimentAnalyzer
+from .context import ContextWindowRule
+from .disambiguation import Disambiguator, TopicTermSet
+from .features import FeatureExtractionConfig, FeatureExtractor
+from .lexicon import default_lexicon
+from .miner import SentimentMiner
+from .model import Polarity, Subject
+from .patterns import default_pattern_db
+from .spotting import NamedEntitySpotter, SubjectSpotter
 
 __all__ = [
-    "Annotation",
-    "ClauseAssignment",
-    "ComponentRef",
-    "ContextBuilder",
     "ContextWindowRule",
-    "CorpusMiner",
-    "Entity",
-    "EntityMiner",
-    "EntityStore",
-    "DisambiguationConfig",
-    "DisambiguationResult",
     "Disambiguator",
     "FeatureExtractionConfig",
     "FeatureExtractor",
-    "FeatureTerm",
-    "LexiconEntry",
-    "MinerPipeline",
-    "MiningResult",
-    "MiningStats",
-    "AhoCorasickSpotter",
     "NamedEntitySpotter",
-    "PipelineError",
-    "PipelineReport",
-    "PhraseScorer",
-    "PhraseSentiment",
     "Polarity",
-    "Provenance",
     "SentimentAnalyzer",
-    "SentimentContext",
-    "SentimentJudgment",
-    "SentimentLexicon",
     "SentimentMiner",
-    "SentimentPattern",
-    "SentimentPatternDB",
-    "Spot",
     "Subject",
     "SubjectSpotter",
-    "TermCollision",
     "TopicTermSet",
     "default_lexicon",
     "default_pattern_db",
-    "idf_from_documents",
-    "likelihood_ratio",
-    "parse_pattern_line",
-    "run_corpus_miner",
 ]

@@ -14,7 +14,6 @@ another threshold." (paper Section 3, after Amitay et al.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -83,20 +82,18 @@ class Disambiguator:
         The domain's on/off-topic term sets.
     config:
         Thresholds; the defaults suit the synthetic corpora.
-    idf:
-        Optional term -> IDF weight map (e.g. from the platform indexer).
-        Unknown terms weigh 1.0.
+
+    Every term weighs 1.0 (a lexical affinity 2.0): the paper's TF·IDF
+    weighting is not reproduced.
     """
 
     def __init__(
         self,
         terms: TopicTermSet,
         config: DisambiguationConfig | None = None,
-        idf: dict[str, float] | None = None,
     ):
         self._terms = terms
         self._config = config or DisambiguationConfig()
-        self._idf = idf or {}
 
     # -- public API --------------------------------------------------------------
 
@@ -164,20 +161,17 @@ class Disambiguator:
         words = [t.lower for t in tokens]
         for i, word in enumerate(words):
             if word in self._terms.on_topic:
-                score += self._weight(word)
+                score += 1.0
             elif word in self._terms.off_topic:
-                score -= self._weight(word)
+                score -= 1.0
             if i + 1 < len(words):
                 bigram = f"{word} {words[i + 1]}"
                 # Lexical affinities count double.
                 if bigram in self._terms.on_topic:
-                    score += 2.0 * self._weight(bigram)
+                    score += 2.0
                 elif bigram in self._terms.off_topic:
-                    score -= 2.0 * self._weight(bigram)
+                    score -= 2.0
         return score
-
-    def _weight(self, term: str) -> float:
-        return self._idf.get(term, 1.0)
 
     def _local_tokens(self, tokens: list[Token], spot: Spot) -> list[Token]:
         """Tokens within the local window around the spot."""
@@ -188,16 +182,3 @@ class Disambiguator:
         lo = max(0, inside[0] - window)
         hi = min(len(tokens), inside[-1] + window + 1)
         return tokens[lo:hi]
-
-
-def idf_from_documents(tokenized_documents: Iterable[list[str]]) -> dict[str, float]:
-    """Compute IDF weights from lowercased token lists (one per document)."""
-    df: dict[str, int] = {}
-    n = 0
-    for words in tokenized_documents:
-        n += 1
-        for word in set(words):
-            df[word] = df.get(word, 0) + 1
-    if n == 0:
-        return {}
-    return {word: math.log(n / count) + 1.0 for word, count in df.items()}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..nlp.chunker import Chunker
 from ..nlp.lemmatizer import Lemmatizer

@@ -8,67 +8,28 @@ sparse, multi-subject, and I-class dominated.
 
 from .datasets import (
     camera_reviews,
-    document_polarity_split,
     music_reviews,
     petroleum_news,
     petroleum_web,
     pharmaceutical_web,
     review_dataset_for,
 )
-from .gold import (
-    Dataset,
-    GoldMention,
-    I_CLASS_KINDS,
-    KINDS,
-    LabeledDocument,
-    LabeledSentence,
-)
-from .reviews import ReviewGenerator, SentenceMix, zipf_choice
-from .templates import SentenceFactory
-from .trending import TrendScenario, TrendingNewsGenerator, default_scenario
-from .vocab import (
-    DIGITAL_CAMERA,
-    DOMAINS,
-    MUSIC,
-    PAPER_CAMERA_FEATURES,
-    PAPER_CAMERA_PRODUCTS,
-    PAPER_MUSIC_FEATURES,
-    PETROLEUM,
-    PHARMACEUTICAL,
-    DomainVocab,
-)
-from .webpages import WebPageGenerator, WebPageMix
+from .reviews import ReviewGenerator
+from .vocab import DIGITAL_CAMERA, DOMAINS, MUSIC, PETROLEUM, PHARMACEUTICAL
+from .webpages import WebPageGenerator
 
 __all__ = [
     "DIGITAL_CAMERA",
     "DOMAINS",
-    "Dataset",
-    "DomainVocab",
-    "GoldMention",
-    "I_CLASS_KINDS",
-    "KINDS",
-    "LabeledDocument",
-    "LabeledSentence",
     "MUSIC",
-    "PAPER_CAMERA_FEATURES",
-    "PAPER_CAMERA_PRODUCTS",
-    "PAPER_MUSIC_FEATURES",
     "PETROLEUM",
     "PHARMACEUTICAL",
     "ReviewGenerator",
-    "SentenceFactory",
-    "TrendScenario",
-    "TrendingNewsGenerator",
-    "SentenceMix",
     "WebPageGenerator",
-    "WebPageMix",
     "camera_reviews",
-    "default_scenario",
-    "document_polarity_split",
     "music_reviews",
     "petroleum_news",
     "petroleum_web",
     "pharmaceutical_web",
     "review_dataset_for",
-    "zipf_choice",
 ]

@@ -8,9 +8,8 @@ everything proportionally for tests and quick benchmark rounds.
 
 from __future__ import annotations
 
-from ..core.model import Polarity
 from .gold import Dataset
-from .reviews import ReviewGenerator, SentenceMix
+from .reviews import ReviewGenerator
 from .vocab import DIGITAL_CAMERA, MUSIC, PETROLEUM, PHARMACEUTICAL
 from .webpages import WebPageGenerator
 
@@ -81,10 +80,3 @@ def review_dataset_for(domain_name: str, seed: int = 2005, scale: float = 1.0) -
     if domain_name == MUSIC.name:
         return music_reviews(seed, scale)
     raise ValueError(f"no review dataset for domain {domain_name!r}")
-
-
-def document_polarity_split(dataset: Dataset) -> tuple[list, list]:
-    """Review documents split by overall polarity (ReviewSeer training)."""
-    positive = [d for d in dataset.dplus if d.doc_polarity is Polarity.POSITIVE]
-    negative = [d for d in dataset.dplus if d.doc_polarity is Polarity.NEGATIVE]
-    return positive, negative

@@ -1,17 +1,8 @@
 """Evaluation harness: metrics, judge simulation, experiments, reporting."""
 
-from .agreement import FeatureJudgePanel, JudgedTerm
+from .agreement import FeatureJudgePanel
 from .experiments import (
-    ErrorAnalysisResult,
     error_analysis,
-    FeaturePrecisionResult,
-    Figure1Result,
-    Figure2Result,
-    Figure3Result,
-    Table2Result,
-    Table3Result,
-    Table4Result,
-    Table5Result,
     evaluate_system,
     feature_precision,
     figure1_scaling,
@@ -23,26 +14,11 @@ from .experiments import (
     table4,
     table5,
 )
-from .metrics import EvaluationCounts, document_accuracy, evaluate_cases
-from .reporting import ascii_bar_chart, format_percent, format_table
+from .reporting import format_percent, format_table
 
 __all__ = [
-    "ErrorAnalysisResult",
-    "EvaluationCounts",
     "FeatureJudgePanel",
-    "FeaturePrecisionResult",
-    "Figure1Result",
-    "Figure2Result",
-    "Figure3Result",
-    "JudgedTerm",
-    "Table2Result",
-    "Table3Result",
-    "Table4Result",
-    "Table5Result",
-    "ascii_bar_chart",
-    "document_accuracy",
     "error_analysis",
-    "evaluate_cases",
     "evaluate_system",
     "feature_precision",
     "figure1_scaling",

@@ -21,7 +21,7 @@ Index (see DESIGN.md Section 4):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..baselines.collocation import CollocationBaseline
 from ..baselines.reviewseer import ReviewSeerClassifier

@@ -30,8 +30,3 @@ NEGATION_VERBS: frozenset[str] = frozenset({"fail", "lack", "stop", "cease", "re
 ALL_NEGATORS: frozenset[str] = (
     NEGATION_ADVERBS | NEGATION_DETERMINERS | NEGATION_QUANTIFIERS
 )
-
-
-def is_negator(word: str) -> bool:
-    """True when *word* (any case) reverses the polarity of its scope."""
-    return word.lower() in ALL_NEGATORS

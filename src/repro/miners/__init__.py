@@ -2,23 +2,16 @@
 
 Each miner adapts a :mod:`repro.core` algorithm to the platform's
 annotation-layer contract so pipelines can be deployed on the simulated
-cluster exactly as Figure 2 / Figure 3 describe.  The module also
-includes the other miners the paper names as platform examples:
-duplicate detection, aggregate statistics, and geographic context.
+cluster exactly as Figure 2 / Figure 3 describe.  Of the other miners
+the paper names as platform examples, the package keeps aggregate
+statistics and geographic context (the only producer of the ``geo``
+layer that ``near:`` queries read).
 """
 
 from . import base
-from .clustering import ClusteringMiner, ClusterResult, cosine_similarity
 from .disambiguator import DisambiguatorMiner
-from .duplicates import (
-    DuplicateDetectionMiner,
-    DuplicatePair,
-    jaccard,
-    minhash_signature,
-    shingles,
-)
-from .feature_miner import FeaturePartial, FeatureTermMiner
-from .geographic import DEFAULT_GAZETTEER, GeographicContextMiner
+from .feature_miner import FeatureTermMiner
+from .geographic import GeographicContextMiner
 from .ne_spotter import NamedEntityMiner
 from .sentiment_miner import (
     OpenSentimentEntityMiner,
@@ -26,20 +19,12 @@ from .sentiment_miner import (
     judgments_from,
 )
 from .spotter import SpotterMiner
-from .statistics import AggregateStatisticsMiner, CorpusStatistics
-from .template_detection import TemplateDetectionMiner, TemplatePartial
+from .statistics import AggregateStatisticsMiner
 from .tokenizer_miner import PosTaggerMiner, TokenizerMiner
 
 __all__ = [
     "AggregateStatisticsMiner",
-    "ClusterResult",
-    "ClusteringMiner",
-    "CorpusStatistics",
-    "DEFAULT_GAZETTEER",
     "DisambiguatorMiner",
-    "DuplicateDetectionMiner",
-    "DuplicatePair",
-    "FeaturePartial",
     "FeatureTermMiner",
     "GeographicContextMiner",
     "NamedEntityMiner",
@@ -47,13 +32,7 @@ __all__ = [
     "PosTaggerMiner",
     "SentimentEntityMiner",
     "SpotterMiner",
-    "TemplateDetectionMiner",
-    "TemplatePartial",
     "TokenizerMiner",
     "base",
-    "cosine_similarity",
-    "jaccard",
     "judgments_from",
-    "minhash_signature",
-    "shingles",
 ]

@@ -5,48 +5,12 @@ Ratnaparkhi tagger and the Talent shallow parser, neither of which is
 available.  See DESIGN.md Section 2 for the substitution rationale.
 """
 
-from .tokens import (
-    Chunk,
-    Sentence,
-    Span,
-    TaggedSentence,
-    TaggedToken,
-    Token,
-)
-from .tokenizer import Tokenizer, tokenize
-from .sentences import SentenceSplitter, split_sentences
-from .postagger import PosTagger, default_tagger
-from .lemmatizer import Lemmatizer, lemmatize
-from .chunker import Chunker, noun_phrases, verb_groups
-from .parser import (
-    Clause,
-    PrepPhrase,
-    SentenceParse,
-    ShallowParser,
-    parse,
-)
+from .tokenizer import tokenize
+from .sentences import split_sentences
+from .postagger import default_tagger
 
 __all__ = [
-    "Chunk",
-    "Chunker",
-    "Clause",
-    "Lemmatizer",
-    "PosTagger",
-    "PrepPhrase",
-    "Sentence",
-    "SentenceParse",
-    "SentenceSplitter",
-    "ShallowParser",
-    "Span",
-    "TaggedSentence",
-    "TaggedToken",
-    "Token",
-    "Tokenizer",
     "default_tagger",
-    "lemmatize",
-    "noun_phrases",
-    "parse",
     "split_sentences",
     "tokenize",
-    "verb_groups",
 ]

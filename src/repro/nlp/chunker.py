@@ -188,16 +188,3 @@ class Chunker:
             else:
                 i += 1
         return chunks
-
-
-_DEFAULT = Chunker()
-
-
-def noun_phrases(sentence: TaggedSentence) -> list[Chunk]:
-    """Module-level convenience wrapper."""
-    return _DEFAULT.noun_phrases(sentence)
-
-
-def verb_groups(sentence: TaggedSentence) -> list[Chunk]:
-    """Module-level convenience wrapper."""
-    return _DEFAULT.verb_groups(sentence)

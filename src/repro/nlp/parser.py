@@ -436,11 +436,3 @@ class ShallowParser:
                 continue
             return None, i + 1
         return None, i + 1
-
-
-_DEFAULT = ShallowParser()
-
-
-def parse(sentence: TaggedSentence) -> SentenceParse:
-    """Parse with the shared default :class:`ShallowParser`."""
-    return _DEFAULT.parse(sentence)

@@ -9,7 +9,7 @@ without ever mutating the raw text — the WebFountain contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -222,16 +222,3 @@ class Chunk:
 
     def __iter__(self) -> Iterator[TaggedToken]:
         return iter(self.tokens)
-
-
-def tokens_text(tokens: Sequence[Token | TaggedToken]) -> str:
-    """Join token surface forms with single spaces."""
-    return " ".join(t.text for t in tokens)
-
-
-def cover_span(spans: Iterable[Span]) -> Span:
-    """Smallest span covering all *spans*; raises on empty input."""
-    spans = list(spans)
-    if not spans:
-        raise ValueError("cover_span requires at least one span")
-    return Span(min(s.start for s in spans), max(s.end for s in spans))

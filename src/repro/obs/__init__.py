@@ -21,12 +21,7 @@ become a single method call returning a shared inert object.
 
 from __future__ import annotations
 
-from .audit import (
-    NULL_AUDIT,
-    AuditEntry,
-    AuditTrail,
-    NullAuditTrail,
-)
+from .audit import NULL_AUDIT, AuditTrail, NullAuditTrail
 from .clock import SimClock
 from .context import (
     ROOT,
@@ -36,25 +31,13 @@ from .context import (
     with_trace,
 )
 from .export import (
-    TraceDump,
     dump_records,
     read_trace,
-    render_audit,
     render_dump,
-    render_metric_records,
     render_span_tree,
     write_trace,
 )
-from .metrics import (
-    DEFAULT_BUCKETS,
-    METRIC_NAME_RE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_series,
-    validate_metric_name,
-)
+from .metrics import MetricsRegistry
 from .health import health_snapshot, render_health
 from .slo import (
     AlertEvent,
@@ -64,7 +47,7 @@ from .slo import (
     default_serving_slos,
     replication_slo,
 )
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer, walk
+from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 
 class Obs:
@@ -121,14 +104,8 @@ class Obs:
 
 __all__ = [
     "AlertEvent",
-    "AuditEntry",
     "AuditTrail",
     "BurnWindow",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "METRIC_NAME_RE",
     "MetricsRegistry",
     "NULL_AUDIT",
     "NULL_TRACER",
@@ -142,22 +119,16 @@ __all__ = [
     "Span",
     "TRACE_KEY",
     "TraceContext",
-    "TraceDump",
     "Tracer",
     "default_serving_slos",
     "dump_records",
     "extract_context",
-    "format_series",
     "health_snapshot",
     "read_trace",
-    "render_audit",
     "render_dump",
     "render_health",
-    "render_metric_records",
     "render_span_tree",
     "replication_slo",
-    "validate_metric_name",
-    "walk",
     "with_trace",
     "write_trace",
 ]

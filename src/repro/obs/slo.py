@@ -25,7 +25,7 @@ run (DET001/DET002 clean).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import audit as _audit

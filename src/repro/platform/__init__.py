@@ -17,21 +17,17 @@ from .retry import RetryPolicy
 from .indexer import InvertedIndex, SentimentIndex
 from .ingestion import (
     BulletinBoardIngestor,
-    CrawlPage,
     CustomerDataIngestor,
     IngestionManager,
     NewsFeedIngestor,
-    WebCrawler,
 )
 from ..core.mining import MinerPipeline, run_corpus_miner
-from .ranking import rank_entities
 from .services import register_services
 from .vinci import VinciBus
 
 __all__ = [
     "BulletinBoardIngestor",
     "Cluster",
-    "CrawlPage",
     "CustomerDataIngestor",
     "DataStore",
     "Entity",
@@ -43,8 +39,6 @@ __all__ = [
     "RetryPolicy",
     "SentimentIndex",
     "VinciBus",
-    "WebCrawler",
-    "rank_entities",
     "register_services",
     "run_corpus_miner",
 ]

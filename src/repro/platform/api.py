@@ -170,11 +170,6 @@ def validate_envelope(obj: Any) -> list[str]:
     return problems
 
 
-def is_envelope(obj: Any) -> bool:
-    """True when *obj* validates as a v1 envelope."""
-    return not validate_envelope(obj)
-
-
 # -- opaque cursors -------------------------------------------------------------
 
 

@@ -59,10 +59,6 @@ class RetryPolicy:
         return attempt < self.max_attempts
 
 
-#: A policy that never retries — the bus's behaviour before this module.
-NO_RETRY = RetryPolicy(max_attempts=1, base_backoff=0.0)
-
-
 class RetryStats:
     """Counters a bus accumulates while applying a retry policy.
 

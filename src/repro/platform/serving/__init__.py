@@ -17,58 +17,22 @@ is the *online* half hardened for sustained query traffic under faults:
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .deadline import Deadline, DeadlineExceeded
-from .loadgen import (
-    LoadGenerator,
-    LoadProfile,
-    ServingScenario,
-    build_scenario,
-    percentile,
-)
-from ..services import OPS
-from .router import (
-    DEFAULT_BUDGET,
-    STATUS_CODES,
-    STATUS_DEGRADED,
-    STATUS_ERROR,
-    STATUS_EXPIRED,
-    STATUS_OK,
-    STATUS_SHED,
-    LatencyModel,
-    LatencyProfile,
-    NodeIndexService,
-    ServingRequest,
-    ServingRouter,
-    node_service,
-)
-from .shards import ReplicatedIndex, ShardReplica, shard_of
+from .loadgen import LoadProfile, build_scenario
+from .router import ServingRequest, ServingRouter, node_service
+from .shards import ReplicatedIndex, shard_of
 
 __all__ = [
     "CLOSED",
     "CircuitBreaker",
-    "DEFAULT_BUDGET",
     "Deadline",
     "DeadlineExceeded",
     "HALF_OPEN",
-    "LatencyModel",
-    "LatencyProfile",
-    "LoadGenerator",
     "LoadProfile",
-    "NodeIndexService",
     "OPEN",
-    "OPS",
     "ReplicatedIndex",
-    "STATUS_CODES",
-    "STATUS_DEGRADED",
-    "STATUS_ERROR",
-    "STATUS_EXPIRED",
-    "STATUS_OK",
-    "STATUS_SHED",
     "ServingRequest",
     "ServingRouter",
-    "ServingScenario",
-    "ShardReplica",
     "build_scenario",
     "node_service",
-    "percentile",
     "shard_of",
 ]

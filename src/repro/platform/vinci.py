@@ -152,9 +152,12 @@ class VinciBus:
         Handler failures, injected faults, and malformed responses are
         transient: with a retry policy the bus re-sends, charging the
         policy's backoff into :attr:`retry_stats` in simulated cost
-        units, until an attempt succeeds or attempts run out.
+        units, until an attempt succeeds or attempts run out.  Only a
+        ``None`` payload means "no payload" and is sent as ``{}``; any
+        other value reaches the handler as given.
         """
-        payload = payload or {}
+        if payload is None:
+            payload = {}
         tracer = self._obs.tracer
         # Join the caller's trace when the payload threads a context
         # (the serving router and cluster coordinator both do); without

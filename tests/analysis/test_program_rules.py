@@ -10,6 +10,7 @@ from repro.analysis import (
     RngFlowRule,
     TraceThreadingRule,
     WalOrderingRule,
+    build_linter,
     build_program,
     default_program_rules,
     summarize_module,
@@ -428,6 +429,116 @@ class TestDeadSymbolRule:
         without_roots = run_rule(DeadSymbolRule(), modules)
         assert with_roots == []
         assert [f.rule for f in without_roots] == ["DEAD001"]
+
+    PACKAGE = {
+        "repro/nlp/parser.py": """
+        def parse(sentence):
+            return sentence
+        """,
+        "repro/nlp/tokenizer.py": """
+        def tokenize(text):
+            return text.split()
+        """,
+        "repro/nlp/__init__.py": """
+        from .parser import parse
+        from .tokenizer import tokenize
+
+        __all__ = ["parse", "tokenize"]
+        """,
+    }
+
+    def test_origin_reached_only_through_package_reexport_is_flagged(self):
+        findings = run_rule(DeadSymbolRule(), self.PACKAGE)
+        dead = sorted((f.path, f.message.split(" is ")[0]) for f in findings)
+        assert dead == [
+            ("repro/nlp/__init__.py", "public re-export 'parse'"),
+            ("repro/nlp/__init__.py", "public re-export 'tokenize'"),
+            ("repro/nlp/parser.py", "public function 'parse'"),
+            ("repro/nlp/tokenizer.py", "public function 'tokenize'"),
+        ]
+
+    def test_unused_init_reexport_is_flagged(self):
+        findings = run_rule(
+            DeadSymbolRule(),
+            {
+                "repro/core/impl.py": """
+                def helper(x):
+                    return x
+
+                def main():
+                    return helper(0)
+                """,
+                "repro/core/__init__.py": """
+                from .impl import helper
+
+                __all__ = ["helper"]
+                """,
+            },
+        )
+        assert [(f.rule, f.path) for f in findings] == [
+            ("DEAD001", "repro/core/__init__.py")
+        ]
+        assert "re-export 'helper'" in findings[0].message
+
+    def test_use_through_package_keeps_reexport_and_origin(self, tmp_path):
+        tests_root = tmp_path / "tests"
+        tests_root.mkdir()
+        (tests_root / "test_nlp.py").write_text(
+            "import repro.nlp as nlp\n\nnlp.tokenize('a b')\n", encoding="utf-8"
+        )
+        modules = dict(self.PACKAGE)
+        modules["repro/cli.py"] = """
+        from repro.nlp import parse
+
+        def main():
+            return parse("x")
+        """
+        findings = run_rule(
+            DeadSymbolRule(reference_roots=(str(tests_root),)), modules
+        )
+        assert findings == []
+        # Without the test's use, only tokenize and its re-export die.
+        findings = run_rule(DeadSymbolRule(), modules)
+        assert sorted(f.path for f in findings) == [
+            "repro/nlp/__init__.py",
+            "repro/nlp/tokenizer.py",
+        ]
+
+    def test_submodule_reexport_is_not_a_symbol(self):
+        findings = run_rule(
+            DeadSymbolRule(),
+            {
+                "repro/lexicons/verbs.py": "WORDS = ()\n",
+                "repro/lexicons/__init__.py": """
+                from . import verbs
+
+                __all__ = ["verbs"]
+                """,
+                "repro/cli.py": """
+                from repro.lexicons.verbs import WORDS
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_perfbench_import_counts_as_use(self, tmp_path):
+        (tmp_path / "lint-suppressions.json").write_text(
+            '{"suppressions": []}', encoding="utf-8"
+        )
+        module = tmp_path / "src" / "repro" / "core" / "util.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("def only_benched(x):\n    return x\n", encoding="utf-8")
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "workloads.py").write_text(
+            "from repro.core.util import only_benched\n", encoding="utf-8"
+        )
+        linter = build_linter(tmp_path / "lint-suppressions.json", use_cache=False)
+        report = linter.lint([tmp_path / "src" / "repro"])
+        assert [f for f in report.findings if f.rule == "DEAD001"] == []
+        (tmp_path / "perfbench" / "workloads.py").unlink()
+        report = linter.lint([tmp_path / "src" / "repro"])
+        dead = [f for f in report.findings if f.rule == "DEAD001"]
+        assert len(dead) == 1 and "perfbench" in dead[0].message
 
 
 class TestWalOrderingRule:

@@ -6,7 +6,6 @@ from repro.core.disambiguation import (
     DisambiguationConfig,
     Disambiguator,
     TopicTermSet,
-    idf_from_documents,
 )
 from repro.core.model import Spot, Subject
 from repro.nlp.sentences import split_sentences
@@ -99,25 +98,6 @@ class TestDisambiguator:
         score = d._score([t for s in sentences for t in s.tokens])
         assert score == pytest.approx(2.0)
 
-    def test_idf_weights_applied(self):
-        terms = TopicTermSet.build(on_topic=["java"])
-        text = "SUN ships java."
-        sentences = split_sentences(text)
-        unweighted = Disambiguator(terms)
-        weighted = Disambiguator(terms, idf={"java": 3.0})
-        tokens = [t for s in sentences for t in s.tokens]
-        assert weighted._score(tokens) == 3 * unweighted._score(tokens)
-
     def test_empty_spot_list(self):
         result = Disambiguator(SUN_TERMS).disambiguate(split_sentences("Nothing."), [])
         assert result.total == 0
-
-
-class TestIdf:
-    def test_rare_terms_weigh_more(self):
-        docs = [["java", "server"], ["server", "beach"], ["server"]]
-        idf = idf_from_documents(docs)
-        assert idf["java"] > idf["server"]
-
-    def test_empty_corpus(self):
-        assert idf_from_documents([]) == {}

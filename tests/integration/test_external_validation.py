@@ -1,4 +1,4 @@
-"""Cross-validation of our from-scratch numerics against scipy/networkx.
+"""Cross-validation of our from-scratch numerics against scipy/numpy.
 
 The library itself has zero third-party dependencies; these tests use the
 scientific stack available in the test environment to independently
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.features import likelihood_ratio
 from repro.platform.indexer import haversine_km
-from repro.platform.ranking import pagerank
 
 
 class TestLikelihoodRatioAgainstScipy:
@@ -52,30 +51,6 @@ class TestLikelihoodRatioAgainstScipy:
 
         for confidence, critical in CHI2_CRITICAL.items():
             assert critical == pytest.approx(chi2.ppf(confidence, df=1), abs=5e-3)
-
-
-class TestPageRankAgainstNetworkx:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=25
-        )
-    )
-    def test_matches_networkx(self, edges):
-        import networkx as nx
-
-        nodes = sorted({n for e in edges for n in e})
-        graph = {str(n): [] for n in nodes}
-        nx_graph = nx.DiGraph()
-        nx_graph.add_nodes_from(str(n) for n in nodes)
-        for src, dst in edges:
-            if str(dst) not in graph[str(src)]:
-                graph[str(src)].append(str(dst))
-                nx_graph.add_edge(str(src), str(dst))
-        ours = pagerank(graph, damping=0.85, max_iterations=200, tolerance=1e-12)
-        reference = nx.pagerank(nx_graph, alpha=0.85, tol=1e-12, max_iter=500)
-        for node in graph:
-            assert ours[node] == pytest.approx(reference[node], abs=1e-6)
 
 
 class TestHaversineAgainstNumpy:

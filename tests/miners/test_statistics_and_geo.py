@@ -95,62 +95,3 @@ class TestGeographicContext:
         entity = self.geo("Tokyo again.")
         GeographicContextMiner().process(entity)
         assert len(entity.layer("geo")) == 1
-
-
-class TestPageRank:
-    def test_rank_entities_orders_hub_first(self):
-        from repro.platform import CrawlPage, WebCrawler
-        from repro.platform.ranking import rank_entities
-
-        site = {
-            "hub": CrawlPage("hub", "x", links=("a", "b")),
-            "a": CrawlPage("a", "x", links=("hub",)),
-            "b": CrawlPage("b", "x", links=("hub",)),
-        }
-        entities = list(WebCrawler(site, ["hub"]).fetch())
-        ranked = rank_entities(entities)
-        assert ranked[0][0] == "hub"
-
-    def test_scores_sum_to_one(self):
-        from repro.platform.ranking import pagerank
-
-        graph = {"a": ["b"], "b": ["c"], "c": ["a"]}
-        scores = pagerank(graph)
-        assert sum(scores.values()) == pytest.approx(1.0)
-
-    def test_symmetric_cycle_uniform(self):
-        from repro.platform.ranking import pagerank
-
-        scores = pagerank({"a": ["b"], "b": ["c"], "c": ["a"]})
-        assert scores["a"] == pytest.approx(scores["b"]) == pytest.approx(scores["c"])
-
-    def test_dangling_nodes_handled(self):
-        from repro.platform.ranking import pagerank
-
-        scores = pagerank({"a": ["b"], "b": []})
-        assert sum(scores.values()) == pytest.approx(1.0)
-        assert scores["b"] > scores["a"]
-
-    def test_empty_graph(self):
-        from repro.platform.ranking import pagerank
-
-        assert pagerank({}) == {}
-
-    def test_bad_damping(self):
-        from repro.platform.ranking import pagerank
-
-        with pytest.raises(ValueError):
-            pagerank({"a": []}, damping=1.5)
-
-    def test_external_links_ignored(self):
-        from repro.platform.ranking import link_graph
-        from repro.platform import Entity
-
-        entity = Entity(
-            entity_id="web:u1",
-            content="x",
-            metadata={"url": "u1", "links": ["u2", "http://elsewhere"]},
-        )
-        other = Entity(entity_id="web:u2", content="x", metadata={"url": "u2", "links": []})
-        graph = link_graph([entity, other])
-        assert graph["u1"] == ["u2"]

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.nlp.tokens import Chunk, Sentence, Span, TaggedSentence, TaggedToken, Token, cover_span, tokens_text
+from repro.nlp.tokens import Chunk, Sentence, Span, TaggedSentence, TaggedToken, Token
 
 
 def tok(text, start=0):
@@ -172,15 +172,3 @@ class TestSlottedTokens:
         assert t2 == t and t2.lower == "zoom"
         assert tagged2 == TaggedToken(t, "NN") and tagged2.lower == "zoom"
         assert chunk2 == chunk and chunk2.span == Span(3, 11)
-
-
-class TestHelpers:
-    def test_tokens_text(self):
-        assert tokens_text([tok("a", 0), tok("b", 2)]) == "a b"
-
-    def test_cover_span(self):
-        assert cover_span([Span(3, 5), Span(0, 2), Span(4, 9)]) == Span(0, 9)
-
-    def test_cover_span_empty(self):
-        with pytest.raises(ValueError):
-            cover_span([])

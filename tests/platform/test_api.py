@@ -10,7 +10,6 @@ from repro.platform.api import (
     decode_cursor,
     encode_cursor,
     error_envelope,
-    is_envelope,
     make_meta,
     ok_envelope,
     paginate,
@@ -54,7 +53,6 @@ class TestEnvelopes:
     def test_validate_catches_missing_keys(self):
         assert validate_envelope({"ok": True}) != []
         assert validate_envelope("not a dict") != []
-        assert not is_envelope({"ok": True})
 
     def test_validate_catches_inconsistent_ok_error(self):
         bad = ok_envelope({})

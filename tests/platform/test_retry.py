@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.platform.faults import FaultPlan
-from repro.platform.retry import NO_RETRY, RetryPolicy, RetryStats
+from repro.platform.retry import RetryPolicy, RetryStats
 from repro.platform.vinci import VinciBus, VinciError
 
 pytestmark = pytest.mark.chaos
@@ -36,8 +36,8 @@ class TestPolicy:
         assert not policy.allows_retry(3)
 
     def test_no_retry_sentinel(self):
-        assert NO_RETRY.max_attempts == 1
-        assert not NO_RETRY.allows_retry(1)
+        policy = RetryPolicy(max_attempts=1)
+        assert not policy.allows_retry(1)
 
     @pytest.mark.parametrize(
         "kwargs",

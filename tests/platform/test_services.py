@@ -239,6 +239,24 @@ class TestRequestHardening:
             assert error["code"] == "bad_request", service
             assert "dict" in error["message"]
 
+    @pytest.mark.parametrize("payload", [[], ""])
+    def test_falsy_non_dict_payload_rejected_without_retry(self, payload):
+        # Only None means "no payload": an empty list or string is a
+        # malformed request, not a request for the defaults.
+        bus = build_stack(VinciBus(retry_policy=RetryPolicy()))
+        for service in (
+            "sentiment.counts",
+            "sentiment.sentences",
+            "sentiment.subjects",
+            "search.query",
+            "store.get",
+        ):
+            error = error_of(bus.request(service, payload))
+            assert error["code"] == "bad_request", service
+            assert "dict" in error["message"], service
+        assert bus.retry_stats.retries == 0
+        assert bus.retry_stats.exhausted == 0
+
     def test_valid_limits_still_served(self, stack):
         out = stack.request("sentiment.sentences", {"subject": "NR70", "limit": 0})
         assert ok_data(out)["rows"] == []
