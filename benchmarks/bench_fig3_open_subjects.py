@@ -80,24 +80,30 @@ def test_figure3_offline_index_vs_runtime_analysis(benchmark, scale, seed, repor
     indexed_seconds = (time.perf_counter() - start) / 100
 
     speedup = runtime_seconds / max(indexed_seconds, 1e-9)
+    # Wall-clock figures vary run to run, so they stay out of the printed
+    # table (which must diff cleanly between commits) and go to the
+    # benchmark's extra info instead.
+    benchmark.extra_info.update(
+        runtime_ms=1000 * runtime_seconds,
+        indexed_ms=1000 * indexed_seconds,
+        speedup=speedup,
+    )
     report(
         format_table(
-            ["query path", "latency (ms)", "positive", "negative"],
+            ["query path", "positive", "negative"],
             [
                 [
                     "runtime analysis",
-                    f"{1000 * runtime_seconds:.2f}",
                     runtime_counts[Polarity.POSITIVE],
                     runtime_counts[Polarity.NEGATIVE],
                 ],
                 [
                     "sentiment index",
-                    f"{1000 * indexed_seconds:.4f}",
                     indexed_counts[Polarity.POSITIVE],
                     indexed_counts[Polarity.NEGATIVE],
                 ],
             ],
-            title=f"Figure 3 motivation: query latency for {subject!r} (speedup {speedup:,.0f}x)",
+            title=f"Figure 3 motivation: query results for {subject!r}",
         )
     )
     assert speedup > 100  # the offline pass pays for itself immediately

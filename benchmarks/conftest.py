@@ -2,9 +2,10 @@
 
 Every table/figure benchmark runs its experiment once (rounds=1) — the
 experiments are deterministic end-to-end runs, not microbenchmarks — and
-prints the reproduced table to the real stdout so it survives pytest's
-capture.  ``REPRO_BENCH_SCALE`` (default 0.15) scales dataset sizes;
-1.0 reproduces the paper's document counts.
+hands the reproduced table to :func:`emit`, which prints it in pytest's
+terminal summary, so it shows without ``-s``.  ``REPRO_BENCH_SCALE``
+(default 0.15) scales dataset sizes; 1.0 reproduces the paper's
+document counts.
 
 The wall-clock gates (throughput, observability overhead, lint cache)
 share :func:`paired_rounds` and :func:`median_ratio`, and every gate
@@ -13,7 +14,6 @@ writes its ``BENCH_*.json`` artifact through :func:`write_json`.
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -32,10 +32,26 @@ def seed() -> int:
     return int(os.environ.get("REPRO_BENCH_SEED", 2005))
 
 
+#: Tables emitted by this session's benchmarks, in emission order.
+_EMITTED: list[str] = []
+
+
 def emit(text: str) -> None:
-    """Print to the unbuffered real stdout, bypassing pytest capture."""
-    sys.__stdout__.write("\n" + text + "\n")
-    sys.__stdout__.flush()
+    """Queue *text* for the terminal summary.
+
+    pytest captures file descriptor 1 while a test runs, so a direct
+    write to stdout never reaches the log; the terminal reporter writes
+    outside the capture.
+    """
+    _EMITTED.append(text)
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    if not _EMITTED:
+        return
+    terminalreporter.section("reproduced tables")
+    for text in _EMITTED:
+        terminalreporter.write("\n" + text + "\n")
 
 
 @pytest.fixture()

@@ -114,7 +114,6 @@ class ReputationManager:
         self,
         background_texts: Iterable[str],
         top_n: int = 20,
-        min_support: int = 2,
     ) -> list[Subject]:
         """Auto-register feature terms as tracked subjects.
 
@@ -129,9 +128,7 @@ class ReputationManager:
         if self._built:
             raise RuntimeError("discover features before build()")
         dplus = [entity.content for entity in self._store.scan()]
-        extractor = FeatureExtractor(
-            FeatureExtractionConfig(min_support=min_support, top_n=top_n)
-        )
+        extractor = FeatureExtractor(FeatureExtractionConfig(top_n=top_n))
         existing = {s.canonical.lower() for s in self._subjects}
         added: list[Subject] = []
         for feature in extractor.extract(dplus, list(background_texts)):

@@ -32,7 +32,7 @@ from ..obs.metrics import Counter
 from ..nlp import penn
 from ..nlp.lemmatizer import Lemmatizer, lemmatize
 from ..nlp.parse_cache import ParseMemo
-from ..nlp.parser import Clause, SentenceParse, ShallowParser
+from ..nlp.parser import Clause, ShallowParser
 from ..nlp.postagger import PosTagger
 from ..nlp.sentences import SentenceSplitter
 from ..nlp.tokenizer import Tokenizer
@@ -98,7 +98,6 @@ class SentimentAnalyzer:
         self,
         lexicon: SentimentLexicon | None = None,
         pattern_db: SentimentPatternDB | None = None,
-        weighted_phrases: bool = False,
         use_patterns: bool = True,
         handle_negation: bool = True,
         obs: Obs | None = None,
@@ -129,7 +128,7 @@ class SentimentAnalyzer:
         self._predicate_lemmas = frozenset(predicates)
         self._parse_memo = ParseMemo(self._parser, maxsize=parse_memo_size)
         self._spotter_cache: OrderedDict[tuple[Subject, ...], SubjectSpotter] = OrderedDict()
-        self._scorer = PhraseScorer(self._lexicon, weighted=weighted_phrases)
+        self._scorer = PhraseScorer(self._lexicon)
         self._tokenizer = Tokenizer()
         self._splitter = SentenceSplitter(self._tokenizer, memo_size=split_memo_size)
         # Ablation switches (DESIGN.md "ablations"): pattern DB off falls
@@ -178,14 +177,6 @@ class SentimentAnalyzer:
             handle = self._counters[key] = self._obs.metrics.counter(name, **labels)
         handle.inc(amount)
 
-    def _parse(self, tagged: TaggedSentence) -> SentenceParse:
-        """Parse through the bounded memo, mirroring hit/miss metrics."""
-        parse, from_cache = self._parse_memo.parse_with_status(tagged)
-        self._count(
-            "analyzer.parse_memo_hits" if from_cache else "analyzer.parse_memo_misses"
-        )
-        return parse
-
     def publish_memo_metrics(self) -> None:
         """Mirror the nlp-layer memo counters into the metrics registry.
 
@@ -226,7 +217,7 @@ class SentimentAnalyzer:
             # Questions ask about sentiment; they do not assert it.
             count("analyzer.questions_skipped")
             return []
-        parse = self._parse(tagged)
+        parse, _ = self._parse_memo.parse_with_status(tagged)
         assignments: list[ClauseAssignment] = []
         for clause in parse.clauses:
             count("analyzer.clauses")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from ..nlp.tokens import Span
 
@@ -86,10 +86,6 @@ class Entity:
                 f"annotation span {annotation.span} exceeds content length {len(self.content)}"
             )
         self._annotations.setdefault(annotation.layer, []).append(annotation)
-
-    def annotate_all(self, annotations: Iterator[Annotation] | list[Annotation]) -> None:
-        for annotation in annotations:
-            self.annotate(annotation)
 
     def layer(self, name: str) -> list[Annotation]:
         """All annotations in a layer, in insertion order."""

@@ -68,9 +68,6 @@ class EntityMiner(abc.ABC):
     def process(self, entity: Entity) -> None:
         """Annotate *entity* in place."""
 
-    def reset(self) -> None:
-        """Clear per-run state (optional)."""
-
 
 class CorpusMiner(abc.ABC, Generic[T]):
     """A miner over the whole corpus, expressed as map + reduce."""

@@ -7,23 +7,20 @@ sentiment phrase with an adverb with negative meaning ... the sentiment
 polarity of the phrase is reversed." (paper Section 4.2)
 
 The scorer sums signed votes from lexicon hits, flipping the sign of every
-word in the scope of a negator.  The paper's output is binary, so the
-public result is the sign; the raw signed score is exposed for the
-collocation baseline and intensity-weighting ablations.
+word in the scope of a negator.  Every hit counts one vote, as in the
+paper: degree adverbs ("very", "somewhat") neither strengthen nor weaken
+the word they modify.  The paper's output is binary, so the public
+result is the sign; the signed sum is kept as ``score``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..lexicons import adverbs as adverb_data
 from ..lexicons import negation
 from ..nlp.tokens import Chunk, TaggedToken
 from .lexicon import SentimentLexicon
 from .model import Polarity
-
-_INTENSIFIERS = frozenset(adverb_data.INTENSIFIERS)
-_DIMINISHERS = frozenset(adverb_data.DIMINISHERS)
 
 
 @dataclass(frozen=True)
@@ -41,21 +38,10 @@ class PhraseSentiment:
 
 
 class PhraseScorer:
-    """Compute phrase polarity from lexicon hits and negation scope.
+    """Compute phrase polarity from lexicon hits and negation scope."""
 
-    Parameters
-    ----------
-    lexicon:
-        The sentiment lexicon to consult.
-    weighted:
-        When True, intensifiers scale the following sentiment word by 2
-        and diminishers by 0.5.  The paper's model is unweighted; the
-        option exists for the ablation benchmarks.
-    """
-
-    def __init__(self, lexicon: SentimentLexicon, weighted: bool = False):
+    def __init__(self, lexicon: SentimentLexicon):
         self._lexicon = lexicon
-        self._weighted = weighted
 
     def score_tokens(self, tokens: tuple[TaggedToken, ...] | list[TaggedToken]) -> PhraseSentiment:
         """Score a token sequence as one phrase."""
@@ -63,7 +49,6 @@ class PhraseScorer:
         words: list[str] = []
         negated = False
         pending_negation = False
-        pending_weight = 1.0
         for token in tokens:
             lower = token.lower
             if lower in negation.NEGATION_ADVERBS or lower in negation.NEGATION_DETERMINERS:
@@ -75,21 +60,13 @@ class PhraseScorer:
                 pending_negation = True
                 negated = True
                 continue
-            if self._weighted and lower in _INTENSIFIERS:
-                pending_weight = 2.0
-                continue
-            if self._weighted and lower in _DIMINISHERS:
-                pending_weight = 0.5
-                continue
             polarity = self._lexicon.polarity(token.text, token.tag)
             if polarity.is_polar:
                 value = 1.0 if polarity is Polarity.POSITIVE else -1.0
                 if pending_negation:
                     value = -value
-                value *= pending_weight
                 total += value
                 words.append(lower)
-            pending_weight = 1.0
             # One negator flips the rest of the phrase (scope = suffix),
             # matching the paper's phrase-reversal rule.
         if total > 0:

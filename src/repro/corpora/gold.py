@@ -104,10 +104,6 @@ class Dataset:
     dplus: list[LabeledDocument]
     dminus: list[LabeledDocument]
 
-    @property
-    def all_documents(self) -> list[LabeledDocument]:
-        return self.dplus + self.dminus
-
     def dplus_texts(self) -> list[str]:
         return [d.text for d in self.dplus]
 

@@ -33,6 +33,10 @@ class JudgedTerm:
         return self.judge_a and self.judge_b
 
 
+#: Chance that a judge labels a non-feature term a feature.
+FALSE_ACCEPT_RATE = 0.01
+
+
 class FeatureJudgePanel:
     """Two simulated judges with independent error rates."""
 
@@ -41,10 +45,9 @@ class FeatureJudgePanel:
         vocab: DomainVocab,
         seed: int = 2005,
         miss_rate: float = 0.02,
-        false_accept_rate: float = 0.01,
     ):
-        if not 0 <= miss_rate < 1 or not 0 <= false_accept_rate < 1:
-            raise ValueError("error rates must lie in [0, 1)")
+        if not 0 <= miss_rate < 1:
+            raise ValueError("miss_rate must lie in [0, 1)")
         # Judges accept number-folded variants: "lyric" counts as the
         # feature "lyrics", "batteries" as "battery".
         from ..nlp.lemmatizer import Lemmatizer
@@ -59,7 +62,6 @@ class FeatureJudgePanel:
             self._truth.add(" ".join(words))
         self._rng = random.Random(seed)
         self._miss_rate = miss_rate
-        self._false_accept_rate = false_accept_rate
 
     def is_true_feature(self, term: str) -> bool:
         return term.lower() in self._truth
@@ -83,7 +85,7 @@ class FeatureJudgePanel:
         roll = self._rng.random()
         if truth:
             return roll >= self._miss_rate
-        return roll < self._false_accept_rate
+        return roll < FALSE_ACCEPT_RATE
 
     def precision(self, terms: list[str]) -> float:
         """The paper's protocol: accepted-by-both / extracted."""

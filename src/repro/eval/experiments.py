@@ -70,7 +70,6 @@ def _predictions_collocation(
 def evaluate_system(
     dataset: Dataset,
     system: str,
-    exclude_kinds: frozenset[str] = frozenset(),
     analyzer: SentimentAnalyzer | None = None,
     context_rule=None,
 ) -> EvaluationCounts:
@@ -85,12 +84,12 @@ def evaluate_system(
         )
         for document in dataset.dplus:
             predictions = _predictions_sm(miner, document)
-            counts.merge(evaluate_cases(document.mentions, predictions, exclude_kinds))
+            counts.merge(evaluate_cases(document.mentions, predictions))
     elif system == "collocation":
         baseline = CollocationBaseline()
         for document in dataset.dplus:
             predictions = _predictions_collocation(baseline, subjects, document)
-            counts.merge(evaluate_cases(document.mentions, predictions, exclude_kinds))
+            counts.merge(evaluate_cases(document.mentions, predictions))
     else:
         raise ValueError(f"unknown system {system!r}")
     return counts
@@ -638,17 +637,17 @@ class Figure2Result:
         )
 
 
-def figure2_satisfaction(
-    seed: int = 2005,
-    scale: float = 0.2,
-    features: tuple[str, ...] = ("picture quality", "battery", "flash"),
-    max_products: int = 7,
-) -> Figure2Result:
+#: The features and the number of products the Figure 2 chart shows.
+FIGURE2_FEATURES = ("picture quality", "battery", "flash")
+FIGURE2_MAX_PRODUCTS = 7
+
+
+def figure2_satisfaction(seed: int = 2005, scale: float = 0.2) -> Figure2Result:
     """Mode-A mining aggregated per product × feature (the paper's inset
     bar chart: % of pages with positive sentiment per product/feature)."""
     dataset = corpus_datasets.camera_reviews(seed=seed, scale=scale)
     vocab = DIGITAL_CAMERA
-    subjects = [Subject(p) for p in vocab.products] + [Subject(f) for f in features]
+    subjects = [Subject(p) for p in vocab.products] + [Subject(f) for f in FIGURE2_FEATURES]
     miner = SentimentMiner(subjects=subjects)
     per_product: dict[str, dict[str, list[int]]] = {}
     for document in dataset.dplus:
@@ -659,7 +658,7 @@ def figure2_satisfaction(
         if not product_mentions:
             continue
         product = product_mentions[0].subject_name
-        bucket = per_product.setdefault(product, {f: [0, 0] for f in features})
+        bucket = per_product.setdefault(product, {f: [0, 0] for f in FIGURE2_FEATURES})
         for judgment in result.judgments:
             name = judgment.subject_name
             if name in bucket and judgment.polarity.is_polar:
@@ -668,12 +667,12 @@ def figure2_satisfaction(
                     bucket[name][0] += 1
     satisfaction: dict[str, dict[str, float]] = {}
     ranked = sorted(per_product, key=lambda p: -sum(v[1] for v in per_product[p].values()))
-    for product in ranked[:max_products]:
+    for product in ranked[:FIGURE2_MAX_PRODUCTS]:
         satisfaction[product] = {
             feature: (positive / total if total else 0.0)
             for feature, (positive, total) in per_product[product].items()
         }
-    return Figure2Result(satisfaction=satisfaction, features=list(features))
+    return Figure2Result(satisfaction=satisfaction, features=list(FIGURE2_FEATURES))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Sentiment adverbs, intensifiers and diminishers.
+"""Sentiment adverbs and intensifiers.
 
 Sentiment adverbs carry polarity themselves ("beautifully", "poorly").
-Intensifiers and diminishers do not; they modulate the strength of an
-adjacent sentiment word.  The paper's polarity model is binary, so
-intensity only matters for tie-breaking in the collocation baseline and
-for the extension scoring mode of :class:`repro.core.phrase`.
+Intensifiers do not; they strengthen an adjacent sentiment word.  The
+paper's polarity model is binary and unweighted, so the phrase scorer
+gives an intensified word the same single vote as a bare one.
 """
 
 from __future__ import annotations
@@ -66,19 +65,6 @@ INTENSIFIERS: tuple[str, ...] = tuple(
                 "significantly so strikingly strongly substantially "
                 "supremely terribly thoroughly totally truly utterly very "
                 "wildly"
-            ).split()
-        )
-    )
-)
-
-#: Degree adverbs that weaken an adjacent sentiment word.
-DIMINISHERS: tuple[str, ...] = tuple(
-    sorted(
-        set(
-            (
-                "somewhat slightly mildly marginally moderately fairly "
-                "reasonably relatively partially partly nominally vaguely "
-                "faintly barely scarcely hardly"
             ).split()
         )
     )

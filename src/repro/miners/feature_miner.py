@@ -43,12 +43,10 @@ class FeatureTermMiner(CorpusMiner[FeaturePartial]):
         self,
         topic: str,
         config: FeatureExtractionConfig | None = None,
-        domain_field: str = "domain",
         obs: Obs | None = None,
     ):
         self._topic = topic
         self._config = config or FeatureExtractionConfig()
-        self._domain_field = domain_field
         self._extractor = FeatureExtractor(self._config)
         self._obs = obs if obs is not None else Obs.default()
 
@@ -59,7 +57,7 @@ class FeatureTermMiner(CorpusMiner[FeaturePartial]):
         dplus_texts: list[str] = []
         dminus_texts: list[str] = []
         for entity in entities:
-            if entity.metadata.get(self._domain_field) == self._topic:
+            if entity.metadata.get("domain") == self._topic:
                 dplus_texts.append(entity.content)
             else:
                 dminus_texts.append(entity.content)

@@ -107,10 +107,6 @@ class TokenAutomaton:
     def __len__(self) -> int:
         return self._num_patterns
 
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
     # -- matching -----------------------------------------------------------
 
     def longest_starts(self, symbols: list[str]) -> dict[int, tuple[int, Any]]:

@@ -23,8 +23,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -41,9 +41,6 @@ class SimClock:
         """Minimal advance used to order otherwise-simultaneous events."""
         self._now += TICK
         return self._now
-
-    def reset(self, start: float = 0.0) -> None:
-        self._now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"

@@ -121,8 +121,6 @@ def health_snapshot(
         snap["ingest"] = {
             "batches_applied": live_indexer.batches_applied,
             "documents_indexed": live_indexer.documents_indexed,
-            "docs": _series_values(metrics, "ingest.docs"),
-            "deletes": _series_values(metrics, "ingest.deletes"),
             "compaction_runs": metrics.value("compaction.runs"),
             "compaction_merged_docs": metrics.value("compaction.merged_docs"),
         }

@@ -202,10 +202,14 @@ class _Tracker:
         return status, event
 
 
-def default_serving_slos(
-    latency_threshold: float = 5.0,
-    freshness_threshold: float = 40.0,
-) -> tuple[SLOSpec, ...]:
+#: The stock SLO thresholds: request latency and ingest freshness (both
+#: simulated time), and the replication-health objective.
+LATENCY_THRESHOLD = 5.0
+FRESHNESS_THRESHOLD = 40.0
+REPLICATION_OBJECTIVE = 0.95
+
+
+def default_serving_slos() -> tuple[SLOSpec, ...]:
     """The stock router SLO set: availability, p95 latency, p95 freshness."""
     return (
         SLOSpec(
@@ -218,22 +222,22 @@ def default_serving_slos(
             name="latency_p95",
             kind=LATENCY,
             objective=0.95,
-            threshold=latency_threshold,
-            description=f"95% of requests finish within {latency_threshold:g}",
+            threshold=LATENCY_THRESHOLD,
+            description=f"95% of requests finish within {LATENCY_THRESHOLD:g}",
         ),
         SLOSpec(
             name="freshness_p95",
             kind=FRESHNESS,
             objective=0.95,
-            threshold=freshness_threshold,
+            threshold=FRESHNESS_THRESHOLD,
             description=(
-                f"95% of ingest batches queryable within {freshness_threshold:g}"
+                f"95% of ingest batches queryable within {FRESHNESS_THRESHOLD:g}"
             ),
         ),
     )
 
 
-def replication_slo(objective: float = 0.95) -> SLOSpec:
+def replication_slo() -> SLOSpec:
     """Replication-health objective for recovery-enabled clusters.
 
     Each observation is one shard at one recovery tick; "bad" means the
@@ -245,9 +249,10 @@ def replication_slo(objective: float = 0.95) -> SLOSpec:
     return SLOSpec(
         name="replication_health",
         kind=REPLICATION,
-        objective=objective,
+        objective=REPLICATION_OBJECTIVE,
         description=(
-            f"{objective:.0%} of per-shard observations at full replication"
+            f"{REPLICATION_OBJECTIVE:.0%} of per-shard observations at full "
+            "replication"
         ),
     )
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from ..obs import Obs
 from .cluster import Cluster, ClusterRunReport
@@ -64,11 +64,10 @@ def schedule_restarts(
     plan: FaultPlan,
     *,
     window: tuple[float, float] = DEFAULT_RESTART_WINDOW,
-    node_ids: Iterable[int] | None = None,
 ) -> dict[int, float]:
     """Attach seeded rejoin times to a plan's scheduled node deaths.
 
-    Every dead node (or just *node_ids*) gets a restart drawn uniformly
+    Every dead node gets a restart drawn uniformly
     from *window* using ``random.Random(plan.seed ^ salt)`` — a fresh
     generator, so the rejoin times depend only on the seed and the
     sorted node order, never on how many draws built the rest of the
@@ -78,9 +77,8 @@ def schedule_restarts(
     if not 0.0 <= lo <= hi:
         raise ValueError(f"restart window must satisfy 0 <= lo <= hi, got {window}")
     rng = random.Random(plan.seed ^ _RESTART_SALT)
-    targets = sorted(plan.dead_nodes) if node_ids is None else sorted(node_ids)
     times: dict[int, float] = {}
-    for node_id in targets:
+    for node_id in sorted(plan.dead_nodes):
         at = lo + (hi - lo) * rng.random()
         plan.restart_node(node_id, after_cost=at)
         times[node_id] = at
@@ -145,6 +143,34 @@ def check_invariants(
     return violations
 
 
+#: Per-seed fault rates of a chaos run's scheduled plan.
+NODE_DEATH_RATE = 0.25
+SERVICE_FAILURE_RATE = 0.3
+
+
+def _chaos_cluster(
+    store: DataStore, seed: int, num_nodes: int, replication: int, obs: Obs | None
+) -> tuple[FaultPlan, Cluster]:
+    """The seed's scheduled fault plan and a cluster running under it."""
+    plan = FaultPlan.scheduled(
+        seed,
+        services=("cluster.coordinator",),
+        num_nodes=num_nodes,
+        num_partitions=store.num_partitions,
+        service_failure_rate=SERVICE_FAILURE_RATE,
+        node_death_rate=NODE_DEATH_RATE,
+    )
+    cluster = Cluster(
+        store,
+        num_nodes=num_nodes,
+        replication=replication,
+        fault_plan=plan,
+        retry_policy=DEFAULT_CHAOS_RETRY,
+        obs=obs,
+    )
+    return plan, cluster
+
+
 def run_pipeline_chaos(
     store_factory: Callable[[], DataStore],
     pipeline_factory: Callable[[], MinerPipeline],
@@ -152,30 +178,11 @@ def run_pipeline_chaos(
     seed: int,
     num_nodes: int,
     replication: int = 2,
-    retry_policy: RetryPolicy | None = DEFAULT_CHAOS_RETRY,
-    plan: FaultPlan | None = None,
-    node_death_rate: float = 0.25,
-    service_failure_rate: float = 0.3,
     obs: Obs | None = None,
 ) -> ChaosOutcome:
     """One seeded chaos run of an entity-miner pipeline."""
     store = store_factory()
-    plan = plan or FaultPlan.scheduled(
-        seed,
-        services=("cluster.coordinator",),
-        num_nodes=num_nodes,
-        num_partitions=store.num_partitions,
-        service_failure_rate=service_failure_rate,
-        node_death_rate=node_death_rate,
-    )
-    cluster = Cluster(
-        store,
-        num_nodes=num_nodes,
-        replication=replication,
-        fault_plan=plan,
-        retry_policy=retry_policy,
-        obs=obs,
-    )
+    plan, cluster = _chaos_cluster(store, seed, num_nodes, replication, obs)
     total = len(store)
     report = cluster.run_pipeline(pipeline_factory())
     return ChaosOutcome(
@@ -193,30 +200,11 @@ def run_corpus_chaos(
     seed: int,
     num_nodes: int,
     replication: int = 2,
-    retry_policy: RetryPolicy | None = DEFAULT_CHAOS_RETRY,
-    plan: FaultPlan | None = None,
-    node_death_rate: float = 0.25,
-    service_failure_rate: float = 0.3,
     obs: Obs | None = None,
 ) -> ChaosOutcome:
     """One seeded chaos run of a corpus miner (map per partition, reduce)."""
     store = store_factory()
-    plan = plan or FaultPlan.scheduled(
-        seed,
-        services=("cluster.coordinator",),
-        num_nodes=num_nodes,
-        num_partitions=store.num_partitions,
-        service_failure_rate=service_failure_rate,
-        node_death_rate=node_death_rate,
-    )
-    cluster = Cluster(
-        store,
-        num_nodes=num_nodes,
-        replication=replication,
-        fault_plan=plan,
-        retry_policy=retry_policy,
-        obs=obs,
-    )
+    plan, cluster = _chaos_cluster(store, seed, num_nodes, replication, obs)
     total = len(store)
     result, report = cluster.run_corpus_miner(miner_factory())
     return ChaosOutcome(

@@ -61,8 +61,6 @@ class Partition:
         #: Chaos hook (see repro.platform.faults): consulted on every
         #: write; may drop the write or substitute a corrupted entity.
         self.fault_plan = None
-        self.dropped_writes = 0
-        self.corrupted_writes = 0
 
     # -- writes -------------------------------------------------------------------
 
@@ -70,10 +68,7 @@ class Partition:
         if self.fault_plan is not None:
             intercepted = self.fault_plan.intercept_write(self.partition_id, entity)
             if intercepted is None:
-                self.dropped_writes += 1
                 return
-            if intercepted is not entity:
-                self.corrupted_writes += 1
             entity = intercepted
         self._memtable[entity.entity_id] = entity
         if len(self._memtable) >= self._memtable_limit:
@@ -143,32 +138,15 @@ class DataStore:
         self,
         num_partitions: int = 8,
         memtable_limit: int = 256,
-        partitioner: Callable[[str, int], int] = default_partitioner,
-        fault_plan=None,
     ):
         if num_partitions < 1:
             raise ValueError("num_partitions must be positive")
         self._partitions = [Partition(i, memtable_limit) for i in range(num_partitions)]
-        self._partitioner = partitioner
-        if fault_plan is not None:
-            self.attach_fault_plan(fault_plan)
 
     def attach_fault_plan(self, fault_plan) -> None:
         """Route every partition write through *fault_plan* (chaos mode)."""
         for partition in self._partitions:
             partition.fault_plan = fault_plan
-
-    def detach_fault_plan(self) -> None:
-        for partition in self._partitions:
-            partition.fault_plan = None
-
-    @property
-    def write_fault_counts(self) -> dict[str, int]:
-        """Dropped/corrupted write totals across partitions."""
-        return {
-            "dropped": sum(p.dropped_writes for p in self._partitions),
-            "corrupted": sum(p.corrupted_writes for p in self._partitions),
-        }
 
     # -- public API ------------------------------------------------------------------
 
@@ -177,7 +155,7 @@ class DataStore:
         return len(self._partitions)
 
     def partition_of(self, entity_id: str) -> Partition:
-        return self._partitions[self._partitioner(entity_id, len(self._partitions))]
+        return self._partitions[default_partitioner(entity_id, len(self._partitions))]
 
     def partition(self, index: int) -> Partition:
         return self._partitions[index]
@@ -261,7 +239,7 @@ class DataStore:
         return written
 
     @classmethod
-    def load(cls, directory: str | Path, memtable_limit: int = 256) -> "DataStore":
+    def load(cls, directory: str | Path) -> "DataStore":
         """Rebuild a store from :meth:`save` output."""
         directory = Path(directory)
         manifest_path = directory / "manifest.json"
@@ -270,10 +248,7 @@ class DataStore:
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("format") != "repro-datastore-v1":
             raise ValueError(f"unknown datastore format {manifest.get('format')!r}")
-        store = cls(
-            num_partitions=int(manifest["num_partitions"]),
-            memtable_limit=memtable_limit,
-        )
+        store = cls(num_partitions=int(manifest["num_partitions"]))
         for path in sorted(directory.glob("partition-*.jsonl")):
             with path.open("r", encoding="utf-8") as stream:
                 for line in stream:

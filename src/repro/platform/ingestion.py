@@ -13,6 +13,14 @@ owns a distinct wire format, so the ingestion → datastore path is real:
 * :class:`NewsFeedIngestor` — headline/body records;
 * :class:`BulletinBoardIngestor` — threaded posts, flattened per thread;
 * :class:`CustomerDataIngestor` — structured ``field=value`` records.
+
+:class:`IngestionManager` drains these sources into the
+:class:`~repro.platform.datastore.DataStore` in one offline pass.  The
+live path is separate: :class:`DocumentDelta` batches (adds, updates,
+deletes) are appended to the
+:class:`~repro.platform.wal.WriteAheadLog` and applied by
+:class:`~repro.platform.segments.LiveIndexer`, which seals the log
+record once the batch's segment is absorbed.
 """
 
 from __future__ import annotations
@@ -21,11 +29,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from ..obs import Obs
-from ..obs.context import ROOT
 from .datastore import DataStore
 from .entity import Entity
-from .wal import NullWriteAheadLog, WriteAheadLog
 
 
 class Source(abc.ABC):
@@ -83,10 +88,6 @@ class WebCrawler(Source):
             )
             count += 1
             frontier.extend(link for link in page.links if link not in visited)
-
-    @property
-    def site_size(self) -> int:
-        return len(self._site)
 
 
 class NewsFeedIngestor(Source):
@@ -146,7 +147,7 @@ class CustomerDataIngestor(Source):
             )
 
 
-#: Document delta kinds flowing from sources to the incremental indexer.
+#: Document delta kinds flowing to the incremental indexer.
 DELTA_ADD = "add"
 DELTA_UPDATE = "update"
 DELTA_DELETE = "delete"
@@ -155,7 +156,7 @@ DELTA_KINDS = (DELTA_ADD, DELTA_UPDATE, DELTA_DELETE)
 
 @dataclass(frozen=True)
 class DocumentDelta:
-    """One document-level change emitted by a source.
+    """One document-level change.
 
     ``add`` and ``update`` carry the full new entity version (documents
     are indexed atomically, never patched); ``delete`` carries only the
@@ -166,7 +167,6 @@ class DocumentDelta:
     kind: str
     entity_id: str
     entity: Entity | None = None
-    source: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in DELTA_KINDS:
@@ -186,60 +186,11 @@ class DocumentDelta:
                 )
 
 
-class DeltaSource(abc.ABC):
-    """A source that delivers document changes incrementally.
-
-    Unlike :class:`Source` (one whole-corpus ``fetch``), a delta source
-    is *polled*: each :meth:`poll` returns the next batch of changes in
-    delivery order, and an empty batch means the source is (currently)
-    drained.  The live crawl→analyze→index→serve loop is built on this.
-    """
-
-    name: str = "deltas"
-
-    @abc.abstractmethod
-    def poll(self, max_deltas: int | None = None) -> list[DocumentDelta]:
-        """Next deltas in delivery order (empty list = drained for now)."""
-
-
-class ScriptedDeltaSource(DeltaSource):
-    """A pre-scripted delta stream — updates and deletes included.
-
-    Feeds an :class:`IngestionManager` an exact add/update/delete
-    schedule, a fixed number of deltas per poll; the ingestion tests
-    use it to check per-source delta accounting.
-    """
-
-    def __init__(self, deltas: Iterable[DocumentDelta], name: str = "scripted", batch_size: int = 8):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.name = name
-        self._pending = list(deltas)
-        self._cursor = 0
-        self._batch_size = batch_size
-
-    @property
-    def remaining(self) -> int:
-        return len(self._pending) - self._cursor
-
-    def poll(self, max_deltas: int | None = None) -> list[DocumentDelta]:
-        limit = self._batch_size if max_deltas is None else min(self._batch_size, max_deltas)
-        batch = self._pending[self._cursor : self._cursor + limit]
-        self._cursor += len(batch)
-        return batch
-
-
 @dataclass
 class IngestionReport:
-    """Per-source ingestion counts.
-
-    ``lsn`` is the write-ahead-log sequence number the increment's batch
-    was appended under (0 when the manager runs without a durable log);
-    callers seal it once the batch's segment is safely absorbed.
-    """
+    """Per-source ingestion counts."""
 
     per_source: dict[str, int] = field(default_factory=dict)
-    lsn: int = 0
 
     @property
     def total(self) -> int:
@@ -247,49 +198,25 @@ class IngestionReport:
 
 
 class IngestionManager:
-    """Pulls every source and loads the data store.
+    """Pulls every whole-corpus :class:`Source` and loads the data store.
 
-    Two modes: :meth:`ingest` drains whole-corpus :class:`Source`\\ s in
-    one offline pass; :meth:`ingest_increment` polls the registered
-    :class:`DeltaSource`\\ s for the next batch of document deltas,
-    applies them to the store (adds/updates as writes, deletes as
-    tombstones) and hands the batch to the caller for incremental
-    indexing.
+    :meth:`ingest` drains the sources in one offline pass.  Live
+    document changes do not come through here: they are
+    :class:`DocumentDelta` batches that the caller logs in a
+    :class:`~repro.platform.wal.WriteAheadLog` and hands to
+    :meth:`~repro.platform.segments.LiveIndexer.apply_batch`.
     """
 
-    def __init__(
-        self,
-        store: DataStore,
-        obs: Obs | None = None,
-        *,
-        wal: WriteAheadLog | None = None,
-    ):
+    def __init__(self, store: DataStore):
         self._store = store
-        self._obs = obs if obs is not None else Obs.default()
-        # Always hold *a* log so the append unconditionally precedes
-        # every store mutation on the increment path (PLAT004): callers
-        # that opt out of durability get the no-op log.
-        self._wal = wal if wal is not None else NullWriteAheadLog()
         self._sources: list[Source] = []
-        self._delta_sources: list[DeltaSource] = []
-
-    @property
-    def wal(self) -> WriteAheadLog:
-        return self._wal
 
     def add_source(self, source: Source) -> None:
         self._sources.append(source)
 
-    def add_delta_source(self, source: DeltaSource) -> None:
-        self._delta_sources.append(source)
-
     @property
     def sources(self) -> list[str]:
         return [s.name for s in self._sources]
-
-    @property
-    def delta_sources(self) -> list[str]:
-        return [s.name for s in self._delta_sources]
 
     def ingest(self) -> IngestionReport:
         """Drain every source into the store."""
@@ -302,48 +229,3 @@ class IngestionManager:
             report.per_source[source.name] = report.per_source.get(source.name, 0) + count
         self._store.flush()
         return report
-
-    def ingest_increment(
-        self, max_deltas: int | None = None
-    ) -> tuple[list[DocumentDelta], IngestionReport]:
-        """Poll every delta source once and apply the batch to the store.
-
-        Returns the concatenated deltas (source registration order, each
-        source's delivery order preserved) plus per-source counts.  An
-        empty delta list means every source is currently drained.
-
-        Each increment is its own root trace (``ingest.increment``), and
-        the documents applied per source are counted in the
-        ``ingest.docs`` series (deletes in ``ingest.deletes``).
-        """
-        report = IngestionReport()
-        metrics = self._obs.metrics
-        with self._obs.tracer.span("ingest.increment", parent=ROOT) as span:
-            polled = [(source, source.poll(max_deltas)) for source in self._delta_sources]
-            batch = [delta for _, deltas in polled for delta in deltas]
-            for source, deltas in polled:
-                report.per_source[source.name] = (
-                    report.per_source.get(source.name, 0) + len(deltas)
-                )
-            span.set_attribute("deltas", len(batch))
-            if batch:
-                # Durability before visibility: the whole batch reaches
-                # the log before any store mutation (PLAT004), so a
-                # crash mid-apply replays the complete increment.
-                report.lsn = self._wal.append(batch)
-                for source, deltas in polled:
-                    docs = 0
-                    deletes = 0
-                    for delta in deltas:
-                        if delta.kind == DELTA_DELETE:
-                            self._store.delete(delta.entity_id)
-                            deletes += 1
-                        else:
-                            self._store.store(delta.entity)
-                            docs += 1
-                    if docs:
-                        metrics.counter("ingest.docs", source=source.name).inc(docs)
-                    if deletes:
-                        metrics.counter("ingest.deletes", source=source.name).inc(deletes)
-                self._store.flush()
-        return batch, report

@@ -65,7 +65,6 @@ class RecoveryManager:
         slo=None,  # SLOMonitor with a replication spec, if any
         wal=None,  # WriteAheadLog feeding live_indexer, if any
         live_indexer=None,  # LiveIndexer to replay WAL batches through
-        transfer_cost_per_doc: float = TRANSFER_COST_PER_DOC,
     ):
         self._index = index
         self._plan = plan
@@ -74,7 +73,6 @@ class RecoveryManager:
         self._slo = slo
         self._wal = wal
         self._live_indexer = live_indexer
-        self._cost = transfer_cost_per_doc
         self._known_down: set[int] = set()
         self._pending_probes: set[int] = set()
         #: Extant recovery copies as (shard_id, host_node) — "in-flight"
@@ -354,7 +352,7 @@ class RecoveryManager:
     def _charge_transfer(self, docs: int) -> None:
         self._transfers.inc()
         self._docs_shipped.inc(docs)
-        self._obs.clock.advance(self._cost * docs)
+        self._obs.clock.advance(TRANSFER_COST_PER_DOC * docs)
 
     def _record_event(self, kind: str, **fields: Any) -> None:
         event = {"kind": kind, "at": self._obs.clock.now, **fields}

@@ -113,10 +113,6 @@ class DeltaIndexer:
         self._obs = obs if obs is not None else Obs.default()
         self._next_segment_id = 0
 
-    @property
-    def segments_built(self) -> int:
-        return self._next_segment_id
-
     def index_batch(self, deltas: Iterable[DocumentDelta]) -> IndexSegment:
         """Mine and seal one batch (delivery order) into a segment."""
         deltas = list(deltas)
@@ -310,14 +306,10 @@ class ReplicaSnapshot:
 
     def __init__(self, version: int, segments: list[ShardSegment]):
         self.version = version
-        self._segments = [s for s in segments if s.version <= version]
-        masks = _masks(self._segments)
-        self.sentiment = SentimentSnapshot(self._segments, masks)
-        self.inverted = InvertedSnapshot(self._segments, masks)
-
-    @property
-    def segment_versions(self) -> list[int]:
-        return [s.version for s in self._segments]
+        visible = [s for s in segments if s.version <= version]
+        masks = _masks(visible)
+        self.sentiment = SentimentSnapshot(visible, masks)
+        self.inverted = InvertedSnapshot(visible, masks)
 
 
 def merge_segments(segments: list[ShardSegment]) -> ShardSegment:
@@ -351,10 +343,9 @@ def merge_segments(segments: list[ShardSegment]) -> ShardSegment:
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """When and at what simulated cost shards merge their segment logs."""
+    """When shards merge their segment logs."""
 
     max_segments: int = 4
-    cost_per_doc: float = COMPACT_COST_PER_DOC
 
     def should_compact(self, segment_count: int) -> bool:
         return segment_count > self.max_segments
@@ -469,7 +460,7 @@ class LiveIndexer:
             span.set_attribute("merged", merged)
             span.set_attribute("rewritten", rewritten)
             if merged:
-                obs.clock.advance(self._policy.cost_per_doc * rewritten)
+                obs.clock.advance(COMPACT_COST_PER_DOC * rewritten)
         obs.audit.record(
             AuditEntry(
                 kind=AUDIT_KIND_COMPACTION,

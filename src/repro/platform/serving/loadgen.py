@@ -31,7 +31,7 @@ from ..entity import Entity
 from ..faults import FAIL, TIMEOUT, FaultPlan
 from ..ingestion import DELTA_ADD, DocumentDelta
 from ..recovery import RecoveryManager
-from ..segments import CompactionPolicy, DeltaIndexer, LiveIndexer
+from ..segments import DeltaIndexer, LiveIndexer
 from ..vinci import VinciBus
 from ..wal import WriteAheadLog
 from .router import (
@@ -237,6 +237,10 @@ class ServingScenario:
         return report
 
 
+#: Breaker cooldown of the scenario's router: half the router's default.
+SCENARIO_BREAKER_COOLDOWN = 0.5
+
+
 def build_scenario(
     *,
     seed: int = 2005,
@@ -249,10 +253,8 @@ def build_scenario(
     fault_fraction: float = 0.08,
     profile: LoadProfile | None = None,
     queue_limit: int = 24,
-    breaker_cooldown: float = 0.5,
     obs: Obs | None = None,
     batches: int | None = None,
-    compaction: CompactionPolicy | None = None,
     slo: SLOMonitor | None = None,
     restarts: bool = False,
 ) -> ServingScenario:
@@ -335,7 +337,6 @@ def build_scenario(
             index,
             DeltaIndexer(miner, obs=obs),
             obs=obs,
-            policy=compaction or CompactionPolicy(),
             wal=wal,
         )
         deltas = [
@@ -366,7 +367,7 @@ def build_scenario(
         obs=obs,
         fault_plan=plan,
         queue_limit=queue_limit,
-        breaker_cooldown=breaker_cooldown,
+        breaker_cooldown=SCENARIO_BREAKER_COOLDOWN,
         latency_seed=seed,
         slo=slo,
     )

@@ -90,33 +90,34 @@ def node_service(node_id: int) -> str:
     return f"serving.node{node_id}"
 
 
-@dataclass(frozen=True)
-class LatencyProfile:
-    """Seeded per-read latency distribution (simulated units).
+#: Seeded per-read latency distribution (simulated units): reads cost
+#: ``uniform(LATENCY_BASE_MIN, LATENCY_BASE_MAX)``, and a
+#: ``LATENCY_SLOW_FRACTION`` of them land on a slow replica/GC pause and
+#: cost ``LATENCY_SLOW_MULTIPLIER`` times more — the tail hedged reads
+#: exist to cut.
+LATENCY_BASE_MIN = 0.04
+LATENCY_BASE_MAX = 0.12
+LATENCY_SLOW_FRACTION = 0.08
+LATENCY_SLOW_MULTIPLIER = 8.0
 
-    Reads cost ``uniform(base_min, base_max)``; a ``slow_fraction`` of
-    them land on a slow replica/GC pause and cost ``slow_multiplier``
-    times more — the tail hedged reads exist to cut.
-    """
-
-    base_min: float = 0.04
-    base_max: float = 0.12
-    slow_fraction: float = 0.08
-    slow_multiplier: float = 8.0
+#: The adaptive hedge threshold is this percentile of recent winner
+#: latencies, once ``HEDGE_WARMUP`` of them have been seen.
+HEDGE_PERCENTILE = 0.95
+HEDGE_WARMUP = 20
 
 
 class LatencyModel:
     """Draws deterministic read latencies from a seeded RNG."""
 
-    def __init__(self, seed: int, profile: LatencyProfile | None = None):
+    def __init__(self, seed: int):
         self._rng = random.Random(seed)
-        self.profile = profile or LatencyProfile()
 
     def draw(self, node_id: int) -> float:
-        p = self.profile
-        latency = p.base_min + self._rng.random() * (p.base_max - p.base_min)
-        if self._rng.random() < p.slow_fraction:
-            latency *= p.slow_multiplier
+        latency = LATENCY_BASE_MIN + self._rng.random() * (
+            LATENCY_BASE_MAX - LATENCY_BASE_MIN
+        )
+        if self._rng.random() < LATENCY_SLOW_FRACTION:
+            latency *= LATENCY_SLOW_MULTIPLIER
         return latency
 
 
@@ -249,8 +250,6 @@ class ServingRouter:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 1.0,
         hedge_threshold: float | None = None,
-        hedge_percentile: float = 0.95,
-        hedge_warmup: int = 20,
         latency_seed: int = 0,
         latency_model: LatencyModel | None = None,
         request_overhead: float = 0.01,
@@ -258,8 +257,6 @@ class ServingRouter:
     ):
         if queue_limit < 1:
             raise ValueError("queue_limit must be positive")
-        if not 0.0 < hedge_percentile < 1.0:
-            raise ValueError("hedge_percentile must lie in (0, 1)")
         self._index = index
         self._store = store
         self._bus = bus
@@ -272,8 +269,6 @@ class ServingRouter:
         self._pending: list[tuple[ServingRequest, dict[str, Any]]] = []
         self._latency = latency_model or LatencyModel(latency_seed)
         self._hedge_threshold = hedge_threshold
-        self._hedge_percentile = hedge_percentile
-        self._hedge_warmup = hedge_warmup
         # Recent winner latencies for the adaptive hedge percentile.
         self._latency_window: deque[float] = deque(maxlen=128)
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -664,10 +659,10 @@ class ServingRouter:
     def _current_hedge_threshold(self) -> float:
         if self._hedge_threshold is not None:
             return self._hedge_threshold
-        if len(self._latency_window) < self._hedge_warmup:
+        if len(self._latency_window) < HEDGE_WARMUP:
             return float("inf")  # no hedging until the percentile is meaningful
         ordered = sorted(self._latency_window)
-        index = int(self._hedge_percentile * (len(ordered) - 1))
+        index = int(HEDGE_PERCENTILE * (len(ordered) - 1))
         return ordered[index]
 
     # -- envelopes -------------------------------------------------------------

@@ -5,10 +5,13 @@ hardware a crash between "accepted" and "indexed" must not lose data.
 This module supplies the durability half of that contract for the
 simulation: :class:`WriteAheadLog` records every accepted
 :class:`~repro.platform.ingestion.DocumentDelta` batch *before* any
-store or index mutation happens (the PLAT004 lint rule enforces the
-ordering statically), and after a simulated crash
-:meth:`WriteAheadLog.replay` yields exactly the batches whose segments
-were never sealed.
+store or index mutation happens.  The serving scenario
+(:func:`~repro.platform.serving.build_scenario` with restarts) appends
+each batch before handing it to
+:meth:`~repro.platform.segments.LiveIndexer.apply_batch`, which seals
+the record once every shard has absorbed the batch's segment; after a
+simulated crash :meth:`WriteAheadLog.replay` yields exactly the batches
+whose segments were never sealed.
 
 Exactly-once comes from two properties downstream of the log:
 
@@ -58,14 +61,8 @@ class WriteAheadLog:
     indexer must redo.
     """
 
-    def __init__(
-        self,
-        obs: Obs | None = None,
-        *,
-        append_cost_per_delta: float = WAL_APPEND_COST_PER_DELTA,
-    ):
+    def __init__(self, obs: Obs | None = None):
         self._obs = obs if obs is not None else Obs.default()
-        self._append_cost = append_cost_per_delta
         self._records: list[WalRecord] = []
         self._sealed: set[int] = set()
         self._next_lsn = 1
@@ -78,7 +75,7 @@ class WriteAheadLog:
         lsn = self._next_lsn
         self._next_lsn += 1
         self._records.append(WalRecord(lsn=lsn, deltas=tuple(deltas)))
-        self._obs.clock.advance(self._append_cost * len(deltas))
+        self._obs.clock.advance(WAL_APPEND_COST_PER_DELTA * len(deltas))
         metrics = self._obs.metrics
         metrics.counter("wal.appends").inc()
         metrics.counter("wal.deltas_logged").inc(len(deltas))
@@ -128,28 +125,3 @@ class WriteAheadLog:
             "checkpoint_lsn": self._checkpoint,
             "unsealed": [r.lsn for r in self.replay()],
         }
-
-
-class NullWriteAheadLog(WriteAheadLog):
-    """A no-op log for ingest paths that opt out of durability.
-
-    It keeps the ingest code shape identical — the append still
-    lexically dominates every store mutation, which is what PLAT004
-    checks — while recording nothing and charging nothing.
-    """
-
-    def __init__(self):
-        super().__init__(obs=Obs.default(), append_cost_per_delta=0.0)
-
-    def append(self, deltas: Sequence["DocumentDelta"]) -> int:
-        return 0
-
-    def seal(self, lsn: int) -> None:
-        return None
-
-    def replay(self) -> Iterator[WalRecord]:
-        return iter(())
-
-    @property
-    def depth(self) -> int:
-        return 0

@@ -246,12 +246,16 @@ class TestCounterSeries:
             "analyzer.clauses": 4.0,
             "analyzer.hypothetical_skipped": 1.0,
             "analyzer.negations_applied": 2.0,
-            "analyzer.parse_memo_hits": 1.0,
-            "analyzer.parse_memo_misses": 2.0,
             "analyzer.pattern_matches{pattern=impress + SP}": 2.0,
             "analyzer.questions_skipped": 1.0,
             "analyzer.sentences": 4.0,
         }
+        # Parse-memo hits and misses are the nlp layer's own counters,
+        # mirrored into the registry on demand.
+        analyzer.publish_memo_metrics()
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["nlp.memo_hits{memo=parse}"] == 1.0
+        assert snapshot["nlp.memo_misses{memo=parse}"] == 2.0
 
     def test_analyzers_sharing_a_registry_share_series(self):
         obs = Obs.enabled()

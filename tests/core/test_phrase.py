@@ -96,16 +96,7 @@ class TestNegation:
 
 
 class TestWeightedMode:
-    def test_intensifier_doubles(self):
-        scorer = PhraseScorer(default_lexicon(), weighted=True)
-        plain = scorer.score_tokens(phrase(("good", "JJ")))
-        boosted = scorer.score_tokens(phrase(("very", "RB"), ("good", "JJ")))
-        assert boosted.score == 2 * plain.score
-
-    def test_diminisher_halves(self):
-        scorer = PhraseScorer(default_lexicon(), weighted=True)
-        result = scorer.score_tokens(phrase(("somewhat", "RB"), ("good", "JJ")))
-        assert result.score == 0.5
+    """Phrases are scored unweighted (paper §4.2): one vote per hit."""
 
     def test_unweighted_ignores_intensifiers(self, scorer):
         result = scorer.score_tokens(phrase(("very", "RB"), ("good", "JJ")))

@@ -25,9 +25,3 @@ class TestSimClock:
         before = clock.now
         clock.tick()
         assert 0 < clock.now - before < 1e-3
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        clock.reset()
-        assert clock.now == 0.0

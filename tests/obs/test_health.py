@@ -67,9 +67,6 @@ class TestSnapshot:
         assert (
             ingest["documents_indexed"] == built.live_indexer.documents_indexed
         )
-        # The per-source ingest.docs series is fed by IngestionManager;
-        # this scenario feeds deltas straight to the live indexer.
-        assert ingest["docs"] == {}
 
     def test_memo_rates_populated_by_mining(self, snapshot):
         memos = snapshot["memos"]

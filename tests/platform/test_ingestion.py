@@ -100,73 +100,3 @@ class TestIngestionManager:
         manager = IngestionManager(DataStore())
         manager.add_source(NewsFeedIngestor([]))
         assert manager.sources == ["newsfeed"]
-
-
-class TestIngestIncrementObservability:
-    """ingest.docs / ingest.deletes counters and ingest.increment traces."""
-
-    def manager(self):
-        from repro.obs import Obs
-        from repro.platform.entity import Entity
-        from repro.platform.ingestion import (
-            DELTA_ADD,
-            DELTA_DELETE,
-            DocumentDelta,
-            ScriptedDeltaSource,
-        )
-
-        def doc_add(doc_id):
-            return DocumentDelta(
-                kind=DELTA_ADD,
-                entity_id=doc_id,
-                entity=Entity(entity_id=doc_id, content="A camera ."),
-            )
-
-        obs = Obs.enabled()
-        store = DataStore(num_partitions=2)
-        manager = IngestionManager(store, obs=obs)
-        manager.add_delta_source(
-            ScriptedDeltaSource(
-                [doc_add("a1"), doc_add("a2"),
-                 DocumentDelta(kind=DELTA_DELETE, entity_id="a1")],
-                name="feed_a",
-                batch_size=2,
-            )
-        )
-        manager.add_delta_source(
-            ScriptedDeltaSource([doc_add("b1")], name="feed_b", batch_size=2)
-        )
-        return obs, store, manager
-
-    def test_docs_and_deletes_counted_per_source(self):
-        obs, _, manager = self.manager()
-        manager.ingest_increment()  # a1+a2 from feed_a, b1 from feed_b
-        manager.ingest_increment()  # delete(a1) from feed_a
-        metrics = obs.metrics
-        assert metrics.value("ingest.docs", source="feed_a") == 2
-        assert metrics.value("ingest.docs", source="feed_b") == 1
-        assert metrics.value("ingest.deletes", source="feed_a") == 1
-        assert metrics.value("ingest.deletes", source="feed_b") == 0
-
-    def test_each_increment_is_its_own_root_trace(self):
-        obs, _, manager = self.manager()
-        batch1, _ = manager.ingest_increment()
-        batch2, _ = manager.ingest_increment()
-        spans = obs.tracer.find("ingest.increment")
-        assert len(spans) == 2
-        assert all(s.parent_id is None for s in spans)
-        assert spans[0].trace_id != spans[1].trace_id
-        assert [s.attributes["deltas"] for s in spans] == [
-            len(batch1), len(batch2)
-        ]
-
-    def test_drained_sources_leave_series_untouched(self):
-        obs, store, manager = self.manager()
-        manager.ingest_increment()
-        manager.ingest_increment()
-        before = obs.metrics.value("ingest.docs", source="feed_a")
-        batch, report = manager.ingest_increment()  # everything drained
-        assert batch == [] and report.total == 0
-        assert obs.metrics.value("ingest.docs", source="feed_a") == before
-        # The tombstone from the delete batch reached the store.
-        assert store.get("a1") is None

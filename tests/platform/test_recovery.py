@@ -47,11 +47,7 @@ from repro.platform.serving.breaker import (
     CircuitBreaker,
 )
 from repro.platform.serving.shards import segment_digest, segment_docs
-from repro.platform.wal import (
-    WAL_APPEND_COST_PER_DELTA,
-    NullWriteAheadLog,
-    WriteAheadLog,
-)
+from repro.platform.wal import WAL_APPEND_COST_PER_DELTA, WriteAheadLog
 
 pytestmark = pytest.mark.recovery
 
@@ -256,14 +252,6 @@ class TestWriteAheadLog:
         wal.seal(2)
         assert [r.lsn for r in wal.replay()] == [1, 3]
         assert wal.snapshot()["unsealed"] == [1, 3]
-
-    def test_null_wal_is_inert(self):
-        wal = NullWriteAheadLog()
-        assert wal.append([add("d1", POSITIVE)]) == 0
-        wal.seal(7)  # no-op, no error
-        assert list(wal.replay()) == []
-        assert wal.depth == 0
-        assert wal.snapshot()["last_lsn"] == 0
 
 
 # ---------------------------------------------------------------------------

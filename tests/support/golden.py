@@ -7,6 +7,13 @@ same corpora (on both the batched optimized path and the unbatched
 path) and diffs the reports byte-for-byte, so any hot-path change that
 shifts semantics fails loudly rather than silently skewing results.
 
+Two seeded serving runs are frozen beside them: the report of
+``build_scenario`` under ``chaos_seed=3``, and under ``chaos_seed=7``
+with four delta batches and crash-restart recovery, each with the
+``repro serve`` defaults, so the ``data`` of ``repro serve --json`` for
+those flags.  They pin the router's, the scenario's and recovery's
+tuning constants.
+
 Regenerate fixtures (only after an *intentional* semantics change)::
 
     PYTHONPATH=src python -m tests.support.golden
@@ -30,6 +37,7 @@ from repro.corpora import (
     WebPageGenerator,
 )
 from repro.obs import Obs
+from repro.platform.serving import build_scenario
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures", "golden")
 
@@ -202,6 +210,27 @@ GOLDEN_RUNS = {
 }
 
 
+#: Serving golden name → the ``build_scenario`` flags it freezes.
+SERVING_RUNS = {
+    "serve_chaos3.json": {"chaos_seed": 3},
+    "serve_chaos7_batches4_restarts.json": {
+        "chaos_seed": 7,
+        "batches": 4,
+        "restarts": True,
+    },
+}
+
+
+def serving_report(flags: dict) -> dict:
+    """The serving report ``repro serve --json`` emits for ``flags``."""
+    return build_scenario(**flags).run()
+
+
+def canonical_json(report: dict) -> str:
+    """The byte form every golden is stored in."""
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
+
+
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURE_DIR, name)
 
@@ -214,11 +243,13 @@ def load_fixture(name: str) -> dict:
 def regenerate() -> list[str]:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     written = []
-    for name, run in GOLDEN_RUNS.items():
-        report = mining_report(run())
+    reports = {name: mining_report(run()) for name, run in GOLDEN_RUNS.items()}
+    reports.update(
+        (name, serving_report(flags)) for name, flags in SERVING_RUNS.items()
+    )
+    for name, report in reports.items():
         with open(fixture_path(name), "w", encoding="utf-8") as stream:
-            json.dump(report, stream, indent=1, sort_keys=True)
-            stream.write("\n")
+            stream.write(canonical_json(report))
         written.append(fixture_path(name))
     return written
 
