@@ -655,12 +655,16 @@ class WalOrderingRule(ProgramRule):
         "in ingest-path code, every store/index mutation is dominated by a "
         "write-ahead-log append on every CFG path (append-before-mutate)"
     )
-    #: Ingest-path modules only: the offline bootstrap (corpus build in
-    #: the scenario/cli layers) predates the WAL by design.
+    #: The ingest-path modules plus ``serving/loadgen.py``, where the one
+    #: live append/apply pair sits (``_apply_batches``).  Only functions
+    #: that append are checked, so the scenario's offline bootstrap in
+    #: ``build_scenario`` and the cli layer, which predate the WAL by
+    #: design, stay out of it.
     scope = (
         "repro/platform/ingestion.py",
         "repro/platform/segments.py",
         "repro/platform/wal.py",
+        "repro/platform/serving/loadgen.py",
     )
 
     BARE = "bare"

@@ -16,9 +16,11 @@ Three indices:
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..core.model import Polarity, SentimentJudgment
 from ..nlp.tokenizer import Tokenizer
@@ -52,6 +54,10 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 #: depends only on the abbreviation set, which this instance never extends.
 _DEFAULT_TOKENIZER = Tokenizer()
 
+#: Bound on each index's read memos (regex matches, live subject
+#: counts); a memo is cleared wholesale when it fills.
+_READ_MEMO_MAX = 64
+
 
 class InvertedIndex:
     """Positional inverted index plus concept and metadata indices.
@@ -60,6 +66,11 @@ class InvertedIndex:
     :meth:`remove_entity`, :meth:`absorb`); together with the object's
     identity it stamps the content, so a digest memoised against it goes
     stale exactly when the index changes.
+
+    Regex matches are memoised per pattern against the same counter:
+    a sealed segment, whose indexes never change, scans its vocabulary
+    once per pattern, and any write drops the memo.  The memo's sets are
+    never handed out; :meth:`search` always returns a fresh set.
     """
 
     def __init__(self, tokenizer: Tokenizer | None = None):
@@ -72,6 +83,9 @@ class InvertedIndex:
         self._locations: dict[str, tuple[tuple[float, float], ...]] = {}
         self._doc_ids: set[str] = set()
         self.mutations = 0
+        # pattern -> matching ids, valid while ``mutations`` equals the stamp.
+        self._regex_memo: dict[str, frozenset[str]] = {}
+        self._regex_stamp = 0
 
     # -- construction ---------------------------------------------------------------
 
@@ -265,12 +279,7 @@ class InvertedIndex:
             values = self._metadata.get(query.field, {})
             return {eid for eid, v in values.items() if query.low <= v <= query.high}
         if isinstance(query, Regex):
-            compiled = query.compiled()
-            out: set[str] = set()
-            for token, postings in self._postings.items():
-                if compiled.fullmatch(token):
-                    out.update(postings)
-            return out
+            return set(self._regex_matches(query))
         if isinstance(query, Concept):
             return set(self._concepts.get((query.layer, query.label), ()))
         if isinstance(query, Near):
@@ -283,6 +292,26 @@ class InvertedIndex:
                 )
             }
         raise TypeError(f"unknown query node {type(query).__name__}")
+
+    def _regex_matches(self, query: Regex) -> frozenset[str]:
+        """Ids with a token fully matching *query*, memoised until a write."""
+        memo = self._regex_memo
+        if self._regex_stamp != self.mutations:
+            memo.clear()
+            self._regex_stamp = self.mutations
+        matched = memo.get(query.pattern)
+        if matched is None:
+            if len(memo) >= _READ_MEMO_MAX:
+                memo.clear()
+            matched = memo[query.pattern] = self._scan_regex(query.compiled())
+        return matched
+
+    def _scan_regex(self, compiled: re.Pattern) -> frozenset[str]:
+        """One vocabulary scan: the ids posted under every matching token."""
+        postings = self._postings
+        return frozenset().union(
+            *map(postings.__getitem__, filter(compiled.fullmatch, postings))
+        )
 
     def _phrase_match(self, tokens: tuple[str, ...]) -> set[str]:
         lists = [self._postings.get(token, {}) for token in tokens]
@@ -341,12 +370,16 @@ class SentimentIndex:
     "An alternative approach is to apply sentiment analysis to the entire
     corpus offline and index on them for quick query time response."
 
-    ``mutations`` counts every write, as on :class:`InvertedIndex`.
+    ``mutations`` counts every write, as on :class:`InvertedIndex`, and
+    stamps the memo behind :meth:`live_subject_counts` the same way.
     """
 
     def __init__(self):
         self._by_subject: dict[str, list[SentimentEntry]] = defaultdict(list)
         self.mutations = 0
+        # mask -> live subject counts, valid while ``mutations`` equals the stamp.
+        self._live_memo: dict[frozenset[str], dict[str, int]] = {}
+        self._live_stamp = 0
 
     def add_judgment(self, judgment: SentimentJudgment) -> None:
         if not judgment.polarity.is_polar:
@@ -440,6 +473,29 @@ class SentimentIndex:
         independent of judgment insertion order.
         """
         return sorted(self._by_subject, key=lambda s: (-len(self._by_subject[s]), s))
+
+    def live_subject_counts(self, mask: frozenset[str]) -> Mapping[str, int]:
+        """Subject → entries not sourced from a document in *mask*.
+
+        Subjects with no such entry are left out.  Memoised on
+        ``(mutations, mask)``, so a sealed segment read under an
+        unchanged mask costs one lookup; the result is a read-only view
+        of the memo, never the memo's own dict.
+        """
+        memo = self._live_memo
+        if self._live_stamp != self.mutations:
+            memo.clear()
+            self._live_stamp = self.mutations
+        counts = memo.get(mask)
+        if counts is None:
+            if len(memo) >= _READ_MEMO_MAX:
+                memo.clear()
+            counts = memo[mask] = {}
+            for subject, entries in self._by_subject.items():
+                live = sum(1 for e in entries if e.entity_id not in mask)
+                if live:
+                    counts[subject] = live
+        return MappingProxyType(counts)
 
     def subject_counts(self) -> dict[str, int]:
         """Subject → mention count, for shard-level merging."""

@@ -206,6 +206,9 @@ class SentimentSnapshot:
     masked documents (deleted or superseded at a later version) are
     invisible.  Entry order is segment order then insertion order, which
     equals one-pass insertion order — the equivalence gate's requirement.
+    :meth:`subject_counts` sums each segment's memoised
+    :meth:`~.indexer.SentimentIndex.live_subject_counts` under its mask,
+    so re-reading segments that have not changed walks no entries.
     """
 
     def __init__(self, segments: list[ShardSegment], masks: list[frozenset[str]]):
@@ -229,10 +232,8 @@ class SentimentSnapshot:
     def subject_counts(self) -> dict[str, int]:
         totals: dict[str, int] = {}
         for segment, mask in zip(self._segments, self._masks):
-            for subject, entries in segment.sentiment.items():
-                live = sum(1 for e in entries if e.entity_id not in mask)
-                if live:
-                    totals[subject] = totals.get(subject, 0) + live
+            for subject, live in segment.sentiment.live_subject_counts(mask).items():
+                totals[subject] = totals.get(subject, 0) + live
         return dict(sorted(totals.items()))
 
     def subjects(self) -> list[str]:

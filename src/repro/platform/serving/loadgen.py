@@ -237,6 +237,29 @@ class ServingScenario:
         return report
 
 
+def _apply_batches(
+    live: LiveIndexer,
+    wal: WriteAheadLog | None,
+    deltas: list[DocumentDelta],
+    batches: int,
+    slo: SLOMonitor | None,
+) -> None:
+    """Log and apply *deltas* in *batches* near-equal batches, in order.
+
+    Kept apart from :func:`build_scenario` so PLAT004 checks this
+    append/apply pair without flagging the scenario's offline bootstrap.
+    """
+    size = max(1, -(-len(deltas) // batches))  # ceil division
+    for start in range(0, len(deltas), size):
+        batch = deltas[start : start + size]
+        # WAL ordering: the batch is durable before any index
+        # mutation; apply_batch seals the record once absorbed.
+        lsn = wal.append(batch) if wal is not None else 0
+        stats = live.apply_batch(batch, lsn=lsn)
+        if slo is not None:
+            slo.record_freshness(stats["freshness_lag"])
+
+
 #: Breaker cooldown of the scenario's router: half the router's default.
 SCENARIO_BREAKER_COOLDOWN = 0.5
 
@@ -347,15 +370,7 @@ def build_scenario(
             )
             for d in documents
         ]
-        size = max(1, -(-len(deltas) // batches))  # ceil division
-        for start in range(0, len(deltas), size):
-            batch = deltas[start : start + size]
-            # WAL ordering: the batch is durable before any index
-            # mutation; apply_batch seals the record once absorbed.
-            lsn = wal.append(batch) if wal is not None else 0
-            stats = live.apply_batch(batch, lsn=lsn)
-            if slo is not None:
-                slo.record_freshness(stats["freshness_lag"])
+        _apply_batches(live, wal, deltas, batches, slo)
 
     # No bus-level retry policy: the router does explicit replica failover,
     # and breaker-gated fast-fails must not consume a retry budget.

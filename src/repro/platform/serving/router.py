@@ -37,6 +37,7 @@ for a given seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -269,8 +270,10 @@ class ServingRouter:
         self._pending: list[tuple[ServingRequest, dict[str, Any]]] = []
         self._latency = latency_model or LatencyModel(latency_seed)
         self._hedge_threshold = hedge_threshold
-        # Recent winner latencies for the adaptive hedge percentile.
+        # Recent winner latencies for the adaptive hedge percentile, in
+        # arrival order (for eviction) and mirrored in sorted order.
         self._latency_window: deque[float] = deque(maxlen=128)
+        self._latency_sorted: list[float] = []
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
@@ -602,7 +605,7 @@ class ServingRouter:
                     self._obs.metrics.counter("serving.cancelled_reads").inc()
                     continue
                 self._obs.clock.advance(latency)
-                self._latency_window.append(latency)
+                self._record_latency(latency)
                 self._latency_hist.observe(latency, trace_id=span.trace_id)
                 service = node_service(replica.node_id)
                 breaker = self._breakers[service]
@@ -656,14 +659,21 @@ class ServingRouter:
                 pass
         return None
 
+    def _record_latency(self, latency: float) -> None:
+        """Slide the window; the sorted mirror drops what the window evicts."""
+        window, ordered = self._latency_window, self._latency_sorted
+        if len(window) == window.maxlen:
+            del ordered[bisect_left(ordered, window[0])]
+        window.append(latency)
+        insort(ordered, latency)
+
     def _current_hedge_threshold(self) -> float:
         if self._hedge_threshold is not None:
             return self._hedge_threshold
-        if len(self._latency_window) < HEDGE_WARMUP:
+        ordered = self._latency_sorted
+        if len(ordered) < HEDGE_WARMUP:
             return float("inf")  # no hedging until the percentile is meaningful
-        ordered = sorted(self._latency_window)
-        index = int(HEDGE_PERCENTILE * (len(ordered) - 1))
-        return ordered[index]
+        return ordered[int(HEDGE_PERCENTILE * (len(ordered) - 1))]
 
     # -- envelopes -------------------------------------------------------------
 

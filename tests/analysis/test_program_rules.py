@@ -2,6 +2,7 @@
 
 import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis import (
     DeadSymbolRule,
@@ -16,6 +17,8 @@ from repro.analysis import (
     summarize_module,
 )
 from repro.analysis.program import content_digest
+
+PLATFORM = Path(__file__).resolve().parents[2] / "src" / "repro" / "platform"
 
 
 def make_program(modules):
@@ -613,7 +616,7 @@ class TestWalOrderingRule:
         findings = run_rule(
             WalOrderingRule(),
             {
-                "repro/platform/serving/loadgen.py": """
+                "repro/platform/serving/router.py": """
                 def build(batch, wal, store):
                     store.store_all(batch)
                     wal.append(batch)
@@ -623,16 +626,25 @@ class TestWalOrderingRule:
         assert findings == []
 
     def test_real_ingest_path_is_clean(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[2] / "src"
         modules = {
-            f"repro/platform/{name}": (
-                root / "repro" / "platform" / name
-            ).read_text(encoding="utf-8")
-            for name in ("ingestion.py", "segments.py", "wal.py")
+            f"repro/platform/{name}": (PLATFORM / name).read_text(encoding="utf-8")
+            for name in ("ingestion.py", "segments.py", "wal.py", "serving/loadgen.py")
         }
         assert run_rule(WalOrderingRule(), modules) == []
+
+    def test_swapped_scenario_append_is_flagged(self):
+        # The rule is live where the append/apply pair is: apply before
+        # append in the scenario's batch loop is exactly one finding.
+        source = (PLATFORM / "serving" / "loadgen.py").read_text(encoding="utf-8")
+        append = "        lsn = wal.append(batch) if wal is not None else 0\n"
+        apply = "        stats = live.apply_batch(batch, lsn=lsn)\n"
+        assert source.count(append + apply) == 1
+        swapped = source.replace(append + apply, apply + append)
+        findings = run_rule(
+            WalOrderingRule(), {"repro/platform/serving/loadgen.py": swapped}
+        )
+        assert [f.rule for f in findings] == ["PLAT004"]
+        assert "apply_batch" in findings[0].message
 
 
 class TestDefaultProgramRules:
