@@ -107,7 +107,6 @@ class ReputationManager:
         for doc_id, text in documents:
             self._store.store(Entity(entity_id=doc_id, content=text))
             count += 1
-        self._store.flush()
         return count
 
     def discover_feature_subjects(

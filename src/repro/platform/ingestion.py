@@ -227,5 +227,4 @@ class IngestionManager:
                 self._store.store(entity)
                 count += 1
             report.per_source[source.name] = report.per_source.get(source.name, 0) + count
-        self._store.flush()
         return report

@@ -2,6 +2,7 @@
 
 import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis import (
     EnvelopeSchemaRule,
@@ -14,6 +15,8 @@ from repro.analysis import (
     WallClockRule,
     default_code_rules,
 )
+
+ROUTER = Path(__file__).resolve().parents[2] / "src/repro/platform/serving/router.py"
 
 
 def run_rule(rule, source, modpath="repro/core/example.py"):
@@ -472,6 +475,18 @@ class TestServingDisciplineRule:
             modpath=self.MODPATH,
         )
         assert len(findings) == 2
+
+    def test_dropped_deadline_check_in_router_is_flagged(self):
+        # The rule is live where the handlers are: dropping the one
+        # deadline check from the router's shard handler is one finding.
+        source = ROUTER.read_text(encoding="utf-8")
+        site = '        op = payload["op"]\n        deadline.check(op)\n'
+        assert source.count(site) == 1
+        assert run_rule(ServingDisciplineRule(), source, modpath=self.MODPATH) == []
+        mutated = source.replace(site, '        op = payload["op"]\n')
+        findings = run_rule(ServingDisciplineRule(), mutated, modpath=self.MODPATH)
+        assert [f.rule for f in findings] == ["PLAT002"]
+        assert "answer_query" in findings[0].message
 
     def test_scope_is_the_serving_package(self):
         rule = ServingDisciplineRule()

@@ -54,6 +54,20 @@ class TestResourcePairRule:
         )
         assert findings == []
 
+    def test_router_release_outside_finally_is_flagged(self):
+        # The rule is live where the pin/release pair is: moving the
+        # router's release out of its finally is exactly one finding.
+        modpath = "repro/platform/serving/router.py"
+        source = (PLATFORM / "serving" / "router.py").read_text(encoding="utf-8")
+        site = "        finally:\n            self._index.release(version)\n"
+        assert source.count(site) == 1
+        assert run_rule(ResourcePairRule(), {modpath: source}) == []
+        after = "        finally:\n            pass\n        self._index.release(version)\n"
+        moved = source.replace(site, after)
+        findings = run_rule(ResourcePairRule(), {modpath: moved})
+        assert [f.rule for f in findings] == ["RES001"]
+        assert "ServingRouter._answer" in findings[0].message
+
     def test_exception_path_leak_is_flagged(self):
         findings = run_rule(
             ResourcePairRule(),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.platform.datastore import DataStore, Partition, default_partitioner
 from repro.platform.entity import Entity
+from repro.platform.faults import FaultPlan
 
 
 def doc(entity_id, content="text"):
@@ -37,67 +38,20 @@ class TestPartition:
         p.put(doc("a", "two"))
         assert p.get("a").content == "two"
 
-    def test_delete_tombstone(self):
+    def test_delete(self):
         p = Partition(0)
         p.put(doc("a"))
-        p.flush()
         p.delete("a")
+        p.delete("never-stored")
         assert p.get("a") is None
         assert list(p.scan()) == []
-
-    def test_flush_creates_segments(self):
-        p = Partition(0, memtable_limit=100)
-        p.put(doc("a"))
-        assert p.segment_count == 0
-        p.flush()
-        assert p.segment_count == 1
-
-    def test_auto_flush_at_limit(self):
-        p = Partition(0, memtable_limit=2)
-        p.put(doc("a"))
-        p.put(doc("b"))
-        assert p.segment_count == 1
-
-    def test_read_spans_memtable_and_segments(self):
-        p = Partition(0)
-        p.put(doc("a", "segment version"))
-        p.flush()
-        p.put(doc("b", "memtable version"))
-        assert p.get("a").content == "segment version"
-        assert p.get("b").content == "memtable version"
-
-    def test_newest_segment_wins(self):
-        p = Partition(0)
-        p.put(doc("a", "v1"))
-        p.flush()
-        p.put(doc("a", "v2"))
-        p.flush()
-        assert p.get("a").content == "v2"
-
-    def test_compact_drops_shadowed_and_tombstones(self):
-        p = Partition(0)
-        p.put(doc("a", "v1"))
-        p.flush()
-        p.put(doc("a", "v2"))
-        p.put(doc("b"))
-        p.flush()
-        p.delete("b")
-        p.flush()
-        dropped = p.compact()
-        assert dropped == 3  # v1, old b, tombstone
-        assert p.segment_count == 1
-        assert p.get("a").content == "v2"
-        assert p.get("b") is None
+        assert len(p) == 0
 
     def test_scan_sorted(self):
         p = Partition(0)
         for eid in ["c", "a", "b"]:
             p.put(doc(eid))
         assert [e.entity_id for e in p.scan()] == ["a", "b", "c"]
-
-    def test_bad_memtable_limit(self):
-        with pytest.raises(ValueError):
-            Partition(0, memtable_limit=0)
 
 
 class TestDataStore:
@@ -123,35 +77,42 @@ class TestDataStore:
         store.store_all(doc(i) for i in ids)
         assert {e.entity_id for e in store.scan()} == ids
 
-    def test_modify(self):
-        store = DataStore()
-        store.store(doc("x"))
-        store.modify("x", lambda e: e.metadata.update(score=3))
-        assert store.get("x").metadata["score"] == 3
-
-    def test_modify_missing_raises(self):
-        with pytest.raises(KeyError):
-            DataStore().modify("nope", lambda e: None)
-
-    def test_compaction_reduces_segments(self):
-        store = DataStore(num_partitions=2, memtable_limit=4)
-        for round_ in range(3):
-            store.store_all(doc(f"id{i}", f"v{round_}") for i in range(8))
-        store.flush()
-        before = store.stats()["segments"]
-        store.compact()
-        after = store.stats()["segments"]
-        assert after <= before
-        assert all(store.get(f"id{i}").content == "v2" for i in range(8))
-
     def test_bad_partition_count(self):
         with pytest.raises(ValueError):
             DataStore(num_partitions=0)
 
     def test_stats_shape(self):
         stats = DataStore(num_partitions=2).stats()
-        assert set(stats) == {"entities", "partitions", "segments"}
+        assert stats == {"entities": 0, "partitions": 2}
 
+
+class TestFaultHook:
+    """Chaos write faults act through the store's one write path."""
+
+    def test_dropped_write_keeps_previous_version_then_corruption_lands(self):
+        store = DataStore(num_partitions=4)
+        store.store_all(doc(f"id{i}", f"v1 {i}") for i in range(12))
+        target = "id5"
+        partition = default_partitioner(target, store.num_partitions)
+        plan = FaultPlan().drop_write(partition).corrupt_write(partition)
+        store.attach_fault_plan(plan)
+        assert len(store) == len(list(store.scan())) == 12
+
+        store.store(doc(target, "v2 dropped"))
+        assert store.get(target).content == "v1 5"
+        assert "corrupted" not in store.get(target).metadata
+        assert len(store) == len(list(store.scan())) == 12
+
+        store.store(doc(target, "v3 garbled"))
+        stored = store.get(target)
+        assert stored.metadata["corrupted"] is True
+        assert stored.content != "v3 garbled"
+        assert len(store) == len(list(store.scan())) == 12
+
+        # Both faults are consumed: the next write lands unchanged.
+        store.store(doc(target, "v4 clean"))
+        assert store.get(target).content == "v4 clean"
+        assert len(store) == len(list(store.scan())) == 12
 
 class TestStoreProperties:
     @settings(max_examples=30, deadline=None)
@@ -166,8 +127,8 @@ class TestStoreProperties:
         )
     )
     def test_store_matches_dict_model(self, operations):
-        """The store behaves like a dict under put/delete/flush/compact."""
-        store = DataStore(num_partitions=3, memtable_limit=5)
+        """The store behaves like a dict under put/delete."""
+        store = DataStore(num_partitions=3)
         model: dict[str, str] = {}
         for op, key_num, content in operations:
             key = f"k{key_num}"
@@ -177,8 +138,11 @@ class TestStoreProperties:
             else:
                 store.delete(key)
                 model.pop(key, None)
-        store.flush()
-        store.compact()
         assert len(store) == len(model)
         for key, content in model.items():
             assert store.get(key).content == content
+        # Partition-major, then id order within each partition.
+        expected = sorted(
+            model.items(), key=lambda kv: (default_partitioner(kv[0], 3), kv[0])
+        )
+        assert [(e.entity_id, e.content) for e in store.scan()] == expected

@@ -27,8 +27,8 @@ _settings = settings(
 )
 
 
-def build_store(entity_ids, num_partitions=8, memtable_limit=4):
-    store = DataStore(num_partitions=num_partitions, memtable_limit=memtable_limit)
+def build_store(entity_ids, num_partitions=8):
+    store = DataStore(num_partitions=num_partitions)
     for entity_id in entity_ids:
         store.store(Entity(entity_id=entity_id, content=f"doc {entity_id}"))
     return store
@@ -65,7 +65,6 @@ class TestPartitionInvariants:
         store = build_store(stored)
         for entity_id in deleted:
             store.delete(entity_id)
-        store.flush()
         live = set(stored) - set(deleted)
         assert len(store) == len(live)
         assert sum(len(store.partition(p)) for p in range(store.num_partitions)) == len(live)
@@ -88,13 +87,3 @@ class TestPartitionInvariants:
             for e in reopened.partition(p).scan()
         }
         assert reopened_placement == placement
-
-    @_settings
-    @given(st.lists(_ids, min_size=1, max_size=30))
-    def test_compaction_preserves_partition_contents(self, entity_ids):
-        store = build_store(entity_ids, memtable_limit=2)
-        before = {e.entity_id for e in store.scan()}
-        store.flush()
-        store.compact()
-        assert {e.entity_id for e in store.scan()} == before
-        assert len(store) == len(before)

@@ -9,7 +9,7 @@ from repro.platform.entity import Annotation, Entity
 
 
 def populated_store():
-    store = DataStore(num_partitions=4, memtable_limit=8)
+    store = DataStore(num_partitions=4)
     for i in range(20):
         entity = Entity(
             entity_id=f"d{i}", content=f"Document number {i}.", metadata={"n": i}
@@ -77,3 +77,14 @@ class TestSaveLoad:
         loaded = DataStore.load(tmp_path / "db")
         assert loaded.get("d0") is None
         assert len(loaded) == 18
+
+    def test_load_ignores_partitions_of_an_earlier_larger_save(self, tmp_path):
+        wide = DataStore(num_partitions=8)
+        wide.store_all(Entity(entity_id=f"w{i}", content="old") for i in range(40))
+        wide.save(tmp_path / "db")
+        narrow = DataStore(num_partitions=2)
+        narrow.store_all(Entity(entity_id=f"n{i}", content="new") for i in range(3))
+        narrow.save(tmp_path / "db")
+        loaded = DataStore.load(tmp_path / "db")
+        assert loaded.num_partitions == 2
+        assert sorted(e.entity_id for e in loaded.scan()) == ["n0", "n1", "n2"]

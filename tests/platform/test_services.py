@@ -119,7 +119,7 @@ class TestStoreService:
 
     def test_stats(self, stack):
         out = stack.request("store.stats", {})
-        assert ok_data(out)["entities"] == 1
+        assert ok_data(out) == {"entities": 1, "partitions": 2}
 
 
 class TestRegistration:
