@@ -126,8 +126,10 @@ class DataStore:
 
         Layout: ``manifest.json`` (store configuration) plus one
         ``partition-<i>.jsonl`` per partition, each line one entity
-        record (annotations included) in scan order.  Returns the number
-        of entities written.
+        record (annotations included) in scan order.  Partition files of
+        an earlier save with more partitions are removed, so the
+        directory holds exactly this store.  Returns the number of
+        entities written.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -143,14 +145,18 @@ class DataStore:
                 for entity in partition.scan():
                     stream.write(entity.to_json() + "\n")
                     written += 1
+        for path in directory.glob("partition-*.jsonl"):
+            index = path.stem.removeprefix("partition-")
+            if index.isdigit() and int(index) >= len(self._partitions):
+                path.unlink()
         return written
 
     @classmethod
     def load(cls, directory: str | Path) -> "DataStore":
         """Rebuild a store from :meth:`save` output.
 
-        Reads the manifest's partitions only, so partition files left
-        by an earlier save with more partitions are ignored.
+        Reads the manifest's partitions only, so a stray partition file
+        beyond them is ignored.
         """
         directory = Path(directory)
         manifest_path = directory / "manifest.json"

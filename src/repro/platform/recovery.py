@@ -41,7 +41,7 @@ from typing import Any
 from ..obs import Obs
 from ..obs.audit import AuditEntry
 from .faults import FaultPlan
-from .serving.shards import ReplicatedIndex, segment_docs
+from .serving.shards import ReplicatedIndex, ShardReplica, segment_docs
 
 #: Simulated cost of shipping one document in a recovery transfer —
 #: deliberately pricier than a compaction rewrite (0.002): recovery
@@ -102,6 +102,12 @@ class RecoveryManager:
             node_id, self._obs.clock.now
         )
 
+    def _live_nodes(self) -> set[int]:
+        """Every node up at the current simulated time."""
+        return {
+            node_id for node_id in range(self._index.num_nodes) if self.node_up(node_id)
+        }
+
     @property
     def down_nodes(self) -> list[int]:
         return sorted(self._known_down)
@@ -119,32 +125,50 @@ class RecoveryManager:
             and not self._pending_probes
             and not self._recovery_replicas
             and not self._index.under_replicated()
-            and not self._diverged_shards()
+            and not self._diverged_shards(self._live_nodes())
         )
 
     # -- the tick ---------------------------------------------------------------
 
     def tick(self) -> dict[str, Any]:
-        """One recovery pass; safe (and cheap) to call between bursts."""
-        now = self._obs.clock.now
-        down_now = {
-            node_id
-            for node_id in range(self._index.num_nodes)
-            if not self.node_up(node_id)
-        }
+        """One recovery pass; safe (and cheap) to call between bursts.
+
+        Liveness, :meth:`~.serving.shards.ReplicatedIndex.under_replicated`
+        and divergence are each computed once and ``settled`` is built
+        from them.  Liveness is a function of the node and the simulated
+        time, so it is read again only after a step that moved the clock
+        (a transfer charge, a sweep sync, a router probe), and divergence
+        again only if the sweep had work or liveness changed.
+        """
+        clock = self._obs.clock
+        now = clock.now
+        up = self._live_nodes()
+        down_now = set(range(self._index.num_nodes)) - up
         for node_id in sorted(down_now - self._known_down):
             self._on_death(node_id)
         for node_id in sorted(self._known_down - down_now):
             self._on_rejoin(node_id)
         self._known_down = down_now
         self._retire_recovered()
-        self._anti_entropy_sweep()
+        if clock.now != now:
+            up = self._live_nodes()
+        read_at = clock.now
+        diverged = self._diverged_shards(up)
+        self._anti_entropy_sweep(diverged)
         if self._router is not None:
             for node_id in sorted(self._pending_probes):
                 if self._router.probe_node(node_id):
                     self._pending_probes.discard(node_id)
                     self._probes_admitted.inc()
                     self._record_event("readmit", node=node_id)
+        # Divergence changes only with the logs (a sweep sync) or liveness.
+        stale = bool(diverged)
+        if clock.now != read_at:
+            moved = self._live_nodes()
+            stale = stale or moved != up
+            up = moved
+        if stale:
+            diverged = self._diverged_shards(up)
         under = self._index.under_replicated()
         self._under_gauge.set(len(under))
         self._inflight_gauge.set(len(self._recovery_replicas))
@@ -158,7 +182,13 @@ class RecoveryManager:
             "under_replicated": under,
             "pending_probes": sorted(self._pending_probes),
             "recovery_replicas": self.recovery_replicas,
-            "settled": self.settled,
+            "settled": not (
+                self._known_down
+                or self._pending_probes
+                or self._recovery_replicas
+                or under
+                or diverged
+            ),
         }
 
     # -- death: restore the replication factor ----------------------------------
@@ -250,21 +280,29 @@ class RecoveryManager:
             reason=f"anti-entropy shipped {shipped_total} docs on rejoin",
         )
 
-    def _diverged_shards(self) -> list[int]:
-        """Shards whose *live* replicas disagree, by digest vector."""
+    def _diverged_shards(self, up: set[int]) -> list[int]:
+        """Shards whose replicas on the *up* nodes disagree.
+
+        Logs are compared by segment identity first: replicas holding
+        the same segment objects in the same order have equal version
+        vectors, so only one replica per distinct log is digested.
+        Absorb, compaction and sync all share segment objects, so a
+        settled cluster builds no version vector at all.
+        """
         diverged = []
         for shard_id in self._index.shard_ids():
-            vectors = {
-                r.version_vector()
-                for r in self._index.replicas_for(shard_id)
-                if self.node_up(r.node_id)
-            }
-            if len(vectors) > 1:
+            distinct: list[ShardReplica] = []
+            for replica in self._index.replicas_for(shard_id):
+                if replica.node_id in up and not any(
+                    replica.shares_log(other) for other in distinct
+                ):
+                    distinct.append(replica)
+            if len(distinct) > 1 and len({r.version_vector() for r in distinct}) > 1:
                 diverged.append(shard_id)
         return diverged
 
-    def _anti_entropy_sweep(self) -> None:
-        """Heal divergence among live replicas, digest-guided.
+    def _anti_entropy_sweep(self, diverged: list[int]) -> None:
+        """Heal the *diverged* shards' live replicas, digest-guided.
 
         The rejoin path catches a node whose death was *observed*; this
         sweep additionally catches an unobserved blip — a node that died
@@ -274,8 +312,9 @@ class RecoveryManager:
         documents (a blip replica with a *hole* in its log ties on
         version but is missing content), then — when only a compaction
         was missed — the compacted, shorter log, then the lowest node id.
+        Liveness is re-read per shard, since each sync moves the clock.
         """
-        for shard_id in self._diverged_shards():
+        for shard_id in diverged:
             live = [
                 r
                 for r in self._index.replicas_for(shard_id)
@@ -294,9 +333,7 @@ class RecoveryManager:
             # for the whole loop.
             donor_vector = donor.version_vector()
             for replica in live:
-                if replica is donor:
-                    continue
-                if replica.version_vector() == donor_vector:
+                if replica.shares_log(donor) or replica.version_vector() == donor_vector:
                     continue
                 docs = self._index.sync_replica(replica, donor)
                 if docs:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.miner import SentimentMiner
 from ..core.model import Polarity
@@ -189,7 +189,7 @@ class ShardSegment:
     )
 
 
-def _masks(segments: list[ShardSegment]) -> list[frozenset[str]]:
+def _masks(segments: Sequence[ShardSegment]) -> list[frozenset[str]]:
     """Per-segment masks: ids deleted/superseded by any *later* segment."""
     masks: list[frozenset[str]] = [frozenset()] * len(segments)
     accumulated: frozenset[str] = frozenset()
@@ -206,14 +206,19 @@ class SentimentSnapshot:
     masked documents (deleted or superseded at a later version) are
     invisible.  Entry order is segment order then insertion order, which
     equals one-pass insertion order — the equivalence gate's requirement.
-    :meth:`subject_counts` sums each segment's memoised
+    The subject totals behind :meth:`subject_counts`, :meth:`subjects`
+    and ``len`` sum each segment's memoised
     :meth:`~.indexer.SentimentIndex.live_subject_counts` under its mask,
-    so re-reading segments that have not changed walks no entries.
+    and are themselves memoised on the snapshot, stamped by each
+    segment's sentiment index and its ``mutations`` counter: a snapshot
+    reused across reads (:meth:`~.serving.shards.ShardReplica.view`)
+    sums them once until a write lands in one of its segments.
     """
 
     def __init__(self, segments: list[ShardSegment], masks: list[frozenset[str]]):
         self._segments = segments
         self._masks = masks
+        self._totals_memo: tuple | None = None
 
     def query(self, subject: str, polarity: Polarity | None = None) -> list[SentimentEntry]:
         out: list[SentimentEntry] = []
@@ -229,19 +234,29 @@ class SentimentSnapshot:
             out[entry.polarity] += 1
         return out
 
-    def subject_counts(self) -> dict[str, int]:
+    def _totals(self) -> dict[str, int]:
+        """Subject → live entries, sorted by subject; never handed out."""
+        stamp = tuple((s.sentiment, s.sentiment.mutations) for s in self._segments)
+        memo = self._totals_memo
+        if memo is not None and memo[0] == stamp:
+            return memo[1]
         totals: dict[str, int] = {}
         for segment, mask in zip(self._segments, self._masks):
             for subject, live in segment.sentiment.live_subject_counts(mask).items():
                 totals[subject] = totals.get(subject, 0) + live
-        return dict(sorted(totals.items()))
+        totals = dict(sorted(totals.items()))
+        self._totals_memo = (stamp, totals)
+        return totals
+
+    def subject_counts(self) -> dict[str, int]:
+        return dict(self._totals())
 
     def subjects(self) -> list[str]:
-        totals = self.subject_counts()
+        totals = self._totals()
         return sorted(totals, key=lambda s: (-totals[s], s))
 
     def __len__(self) -> int:
-        return sum(self.subject_counts().values())
+        return sum(self._totals().values())
 
 
 class InvertedSnapshot:
@@ -303,9 +318,16 @@ class InvertedSnapshot:
 
 
 class ReplicaSnapshot:
-    """One pinned, immutable view of a shard replica: no torn reads."""
+    """One pinned, immutable view of a shard replica: no torn reads.
 
-    def __init__(self, version: int, segments: list[ShardSegment]):
+    The visible segments (those at or below *version*) and their masks
+    are fixed at construction; index content is read live.  Masks come
+    from tombstones, which only a change to the log alters, so
+    :meth:`~.serving.shards.ShardReplica.view` reuses one snapshot for
+    every read of an unchanged log at the same pinned version.
+    """
+
+    def __init__(self, version: int, segments: Sequence[ShardSegment]):
         self.version = version
         visible = [s for s in segments if s.version <= version]
         masks = _masks(visible)

@@ -515,6 +515,12 @@ class ServingRouter:
         results: dict[int, dict[str, Any]] = {}
         missing: list[int] = []
         hedged = 0
+        # The request fields every shard read forwards, filtered once.
+        fields = {
+            k: v
+            for k, v in payload.items()
+            if k in ("subject", "polarity", "limit", "query_ast")
+        }
         # Pin the segment set for the whole request: every shard read in
         # this fan-out sees the same version, and compaction cannot fold
         # segments a still-running read depends on (no torn views).
@@ -524,7 +530,7 @@ class ServingRouter:
                 if deadline.expired:
                     break
                 read = self._read_shard(
-                    shard_id, request.op, payload, deadline, version
+                    shard_id, request.op, fields, deadline, version
                 )
                 hedged += read["hedged"]
                 if read["served"]:
@@ -561,11 +567,15 @@ class ServingRouter:
         self,
         shard_id: int,
         op: str,
-        payload: dict[str, Any],
+        fields: dict[str, Any],
         deadline: Deadline,
         version: int,
     ) -> dict[str, Any]:
-        """One shard read with breaker gating, hedging, and failover."""
+        """One shard read with breaker gating, hedging, and failover.
+
+        *fields* are the request fields a shard needs; every attempt
+        sends them after the op, shard, remaining budget and version.
+        """
         candidates = self._index.replicas_for(shard_id)
         hedged = 0
         with self._obs.tracer.span("serving.shard_read", shard=shard_id, op=op) as span:
@@ -618,11 +628,7 @@ class ServingRouter:
                                 "shard": shard_id,
                                 "budget": deadline.remaining,
                                 "version": version,
-                                **{
-                                    k: v
-                                    for k, v in payload.items()
-                                    if k in ("subject", "polarity", "limit", "query_ast")
-                                },
+                                **fields,
                             },
                             self._obs.tracer.current_context,
                         ),

@@ -26,17 +26,23 @@ log** (:class:`~repro.platform.segments.ShardSegment`): the mutable base
 at version 0 that the offline bulk-build writes into, plus an immutable
 slice of every absorbed :class:`~repro.platform.segments.IndexSegment`.
 Replicas of a shard share the base and slice objects, so each shard's
-content is built once whatever the replication factor.
+content is built once whatever the replication factor.  A replica's log
+is an immutable tuple that only :class:`ReplicatedIndex`'s writers
+replace (:meth:`ShardReplica.rebind`).
 Reads go through :meth:`ShardReplica.view`, which pins a version and
 returns a :class:`~repro.platform.segments.ReplicaSnapshot` — the
 router pins once per request, so a query never sees a torn segment set
-even while absorbs and compactions run mid-flight.
+even while absorbs and compactions run mid-flight.  The replica keeps
+its last snapshot and hands it out again while its log and the pinned
+version are unchanged, so a read builds nothing; replacing the log
+drops it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ...core.model import SentimentJudgment
@@ -130,15 +136,18 @@ class ShardReplica:
     ``segments[0]`` is the mutable base (version 0, or the latest
     compaction merge) that bulk builds write into; later entries are
     immutable absorbed slices.  Replicas of a shard share these segment
-    objects by reference wherever their logs agree.  The
-    ``sentiment``/``inverted`` properties are read-only snapshots at the
-    latest version — writers must go through :class:`ReplicatedIndex`.
+    objects by reference wherever their logs agree.  The log is a tuple
+    that only :class:`ReplicatedIndex`'s writers replace, through
+    :meth:`rebind`.  The ``sentiment``/``inverted`` properties are
+    read-only snapshots at the latest version.
     """
 
     shard_id: int
     replica: int  # 0 = primary copy, 1.. = replicas
     node_id: int
-    segments: list[ShardSegment]
+    segments: tuple[ShardSegment, ...]
+    # (log, pinned version, snapshot) of the last view; see :meth:`view`.
+    _view: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def base(self) -> ShardSegment:
@@ -148,10 +157,27 @@ class ShardReplica:
     def latest_version(self) -> int:
         return self.segments[-1].version
 
+    def rebind(self, segments: tuple[ShardSegment, ...]) -> None:
+        """Replace the log; the cached snapshot goes with the old one."""
+        self.segments = segments
+        self._view = None
+
     def view(self, version: int | None = None) -> ReplicaSnapshot:
-        """A snapshot at *version* (default: latest) — no torn reads."""
-        pinned = self.latest_version if version is None else version
-        return ReplicaSnapshot(pinned, self.segments)
+        """A snapshot at *version* (default: latest) — no torn reads.
+
+        The last snapshot is reused while the log object and the pinned
+        version are unchanged: the visible segments and their masks
+        depend on nothing else, and the snapshot reads index content
+        live, so bulk writes into the base show through it.
+        """
+        log = self.segments
+        pinned = log[-1].version if version is None else version
+        memo = self._view
+        if memo is not None and memo[0] is log and memo[1] == pinned:
+            return memo[2]
+        snapshot = ReplicaSnapshot(pinned, log)
+        self._view = (log, pinned, snapshot)
+        return snapshot
 
     @property
     def sentiment(self) -> SentimentSnapshot:
@@ -163,6 +189,16 @@ class ShardReplica:
 
     def describe(self) -> str:
         return f"shard{self.shard_id}/r{self.replica}@node{self.node_id}"
+
+    def shares_log(self, other: "ShardReplica") -> bool:
+        """Same segment objects in the same order as *other*'s log.
+
+        Such logs have equal version vectors, known without a digest.
+        """
+        ours, theirs = self.segments, other.segments
+        return ours is theirs or (
+            len(ours) == len(theirs) and all(map(operator.is_, ours, theirs))
+        )
 
     def version_vector(self) -> tuple[tuple[int, str], ...]:
         """(version, content digest) per segment — the anti-entropy unit.
@@ -213,7 +249,7 @@ class ReplicatedIndex:
                     shard_id=shard_id,
                     replica=r,
                     node_id=(shard_id + r) % num_nodes,
-                    segments=[base],
+                    segments=(base,),
                 )
                 for r in range(replication)
             ]
@@ -309,7 +345,7 @@ class ReplicatedIndex:
         for shard_id in range(num_shards):
             for replica in self._replicas[shard_id]:
                 if self.node_up(replica.node_id):
-                    replica.segments.append(slices[shard_id])
+                    replica.rebind(replica.segments + (slices[shard_id],))
         self._version = version
         return version
 
@@ -375,7 +411,7 @@ class ReplicatedIndex:
                     merges[key] = (prefix, merge_segments(prefix))
                 merged = merges[key][1]
                 rewritten += segment_docs(merged)
-                replica.segments[: len(prefix)] = [merged]
+                replica.rebind((merged, *replica.segments[len(prefix) :]))
                 merged_total += len(prefix)
         return merged_total, rewritten
 
@@ -456,7 +492,7 @@ class ReplicatedIndex:
             shard_id=shard_id,
             replica=max(r.replica for r in self._replicas[shard_id]) + 1,
             node_id=node_id,
-            segments=list(source.segments),
+            segments=source.segments,
         )
         self._replicas[shard_id].append(replica)
         return replica, sum(segment_docs(s) for s in source.segments)
@@ -490,9 +526,9 @@ class ReplicatedIndex:
         if common == len(target_vector):
             # Clean suffix catch-up: ship only what the target missed.
             shipped = source.segments[common:]
-            target.segments.extend(shipped)
+            target.rebind(target.segments + shipped)
         else:
             # Divergent logs: full resync from the donor.
             shipped = source.segments
-            target.segments[:] = list(source.segments)
+            target.rebind(shipped)
         return sum(segment_docs(s) for s in shipped)

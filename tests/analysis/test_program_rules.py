@@ -157,6 +157,18 @@ class TestDeadlinePropagationRule:
         assert [f.rule for f in findings] == ["SRV001"]
         assert "no remaining budget" in findings[0].message
 
+    def test_router_payload_without_budget_is_flagged(self):
+        # The rule is live where the deadline travels: dropping the
+        # budget from the router's shard-read payload is one finding.
+        modpath = "repro/platform/serving/router.py"
+        source = (PLATFORM / "serving" / "router.py").read_text(encoding="utf-8")
+        site = '"budget": deadline.remaining,\n'
+        assert source.count(site) == 1
+        assert run_rule(DeadlinePropagationRule(), {modpath: source}) == []
+        findings = run_rule(DeadlinePropagationRule(), {modpath: source.replace(site, "\n")})
+        assert [f.rule for f in findings] == ["SRV001"]
+        assert "ServingRouter._read_shard" in findings[0].message
+
     def test_hop_dropping_the_deadline_is_flagged(self):
         findings = run_rule(
             DeadlinePropagationRule(),

@@ -88,3 +88,9 @@ class TestSaveLoad:
         loaded = DataStore.load(tmp_path / "db")
         assert loaded.num_partitions == 2
         assert sorted(e.entity_id for e in loaded.scan()) == ["n0", "n1", "n2"]
+        # The narrow save removed the wide save's surplus partition files.
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == [
+            "manifest.json",
+            "partition-0000.jsonl",
+            "partition-0001.jsonl",
+        ]

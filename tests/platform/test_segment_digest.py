@@ -5,9 +5,10 @@ segment's md5 against a content stamp (version, tombstones, and the
 identity plus ``mutations`` counter of both indexes).  The properties
 here drive every index mutator, stamp-field reassignment and replica
 operation in random order and require the memoised digest to equal the
-uncached hash after every step; the guard pins what a recovery tick
-costs — nothing on a settled cluster, one hash per new segment object
-after a batch.
+uncached hash after every step; the guards pin what a recovery tick
+costs — nothing on a settled cluster or after a batch every replica
+absorbed, and only the unhashed segments of logs that differ by
+identity otherwise.
 """
 
 import pytest
@@ -23,6 +24,9 @@ from repro.platform.segments import IndexSegment, SegmentStats, ShardSegment
 from repro.platform.serving import ReplicatedIndex, build_scenario
 from repro.platform.serving import shards
 from repro.platform.serving.shards import _segment_hash, segment_digest
+
+# After the serving package, which imports the recovery module itself.
+from repro.platform.recovery import RecoveryManager
 
 pytestmark = pytest.mark.recovery
 
@@ -256,7 +260,7 @@ class TestVersionVectorProperty:
 
 
 # ---------------------------------------------------------------------------
-# hash-count guard: a recovery tick costs O(new segments)
+# hash-count guard: a recovery tick digests only logs that differ by identity
 # ---------------------------------------------------------------------------
 
 
@@ -269,41 +273,165 @@ def all_segments(index):
     ]
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-def test_recovery_tick_hashes_only_new_segments(monkeypatch, seed):
+def settled_scenario(seed):
     scenario = build_scenario(
         seed=seed, docs=24, chaos_seed=seed, batches=6, restarts=True
     )
     scenario.run()
-    recovery, live, wal = scenario.recovery, scenario.live_indexer, scenario.wal
-    index = scenario.router.index
-    assert recovery.settled
+    assert scenario.recovery.settled
+    return scenario
+
+
+def count_hashes(monkeypatch):
     hashed = []
     monkeypatch.setattr(
         shards, "_segment_hash", lambda s: hashed.append(s) or _segment_hash(s)
     )
+    return hashed
+
+
+def one_doc_batch(i):
+    entity = Entity(entity_id=f"extra{i}", content=TEXTS[i % len(TEXTS)])
+    return [DocumentDelta(kind=DELTA_ADD, entity_id=entity.entity_id, entity=entity)]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_recovery_tick_hashes_only_new_segments(monkeypatch, seed):
+    scenario = settled_scenario(seed)
+    recovery, live, wal = scenario.recovery, scenario.live_indexer, scenario.wal
+    hashed = count_hashes(monkeypatch)
     for _ in range(20):
         recovery.tick()
     assert hashed == []  # a settled cluster hashes nothing
 
     # Enough batches that the default policy compacts along the way.
     for i in range(6):
-        # Keep the old segments alive so no new object reuses an id.
-        before = all_segments(index)
-        seen = {id(s) for s in before}
-        bases = [
-            (replica, replica.base)
-            for shard_id in index.shard_ids()
-            for replica in index.replicas_for(shard_id)
-        ]
-        entity = Entity(entity_id=f"extra{i}", content=TEXTS[i % len(TEXTS)])
-        batch = [DocumentDelta(kind=DELTA_ADD, entity_id=entity.entity_id, entity=entity)]
+        batch = one_doc_batch(i)
         live.apply_batch(batch, lsn=wal.append(batch))
         hashed.clear()
         recovery.tick()
         assert recovery.settled
-        # Each new segment object is hashed exactly once; nothing else is.
-        new = {id(s) for s in all_segments(index)} - seen
-        assert sorted(id(s) for s in hashed) == sorted(new)
-        replaced_bases = sum(1 for replica, old in bases if replica.base is not old)
-        assert len(hashed) <= index.num_shards + replaced_bases
+        # Every live replica absorbed the slice and shares any merge, so
+        # the logs agree by identity and nothing needs a digest.
+        assert hashed == []
+
+
+def copied(segment):
+    """Equal content (and digest) in distinct segment and index objects."""
+    out = ShardSegment(version=segment.version, tombstones=segment.tombstones)
+    out.sentiment.absorb(segment.sentiment)
+    out.inverted.absorb(segment.inverted)
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_recovery_tick_hashes_only_logs_that_differ_by_identity(monkeypatch, seed):
+    scenario = settled_scenario(seed)
+    recovery, live, wal = scenario.recovery, scenario.live_indexer, scenario.wal
+    index = scenario.router.index
+    hashed = count_hashes(monkeypatch)
+
+    # A blip: one node misses a batch between two ticks, so its replicas
+    # are stale while liveness counts them as healthy.
+    blip = seed % index.num_nodes
+    index.set_liveness(lambda node_id: node_id != blip)
+    batch = one_doc_batch(0)
+    live.apply_batch(batch, lsn=wal.append(batch))
+    index.set_liveness(recovery.node_up)
+    stale = {replica.shard_id: replica for replica in index.replicas_on(blip)}
+    for shard_id, replica in stale.items():
+        (peer,) = [r for r in index.replicas_for(shard_id) if r is not replica]
+        assert replica.segments == peer.segments[:-1]
+
+    # A replica rebuilt from equal-content copies of its log's segments.
+    rebuilt_shard = next(s for s in index.shard_ids() if s not in stale)
+    rebuilt = index.replicas_for(rebuilt_shard)[-1]
+    rebuilt.rebind(tuple(copied(s) for s in rebuilt.segments))
+    assert not any(rebuilt.shares_log(r) for r in index.replicas_for(rebuilt_shard)[:-1])
+
+    differing = [*stale, rebuilt_shard]
+    unhashed = {
+        id(segment): segment
+        for shard_id in differing
+        for replica in index.replicas_for(shard_id)
+        for segment in replica.segments
+        if segment._digest_memo is None
+    }
+    events = len(recovery.events)
+    hashed.clear()
+    recovery.tick()
+    # Only the differing shards' unhashed segments are hashed, once each.
+    assert sorted(map(id, hashed)) == sorted(unhashed)
+    assert recovery.settled
+    # The stale replicas are healed onto their peers' segment objects...
+    for shard_id, replica in stale.items():
+        assert all(replica.shares_log(r) for r in index.replicas_for(shard_id))
+    # ...while the equal-content replica is not diverged: no sync, no event.
+    assert rebuilt.segments[0] is not index.replicas_for(rebuilt_shard)[0].segments[0]
+    sweeps = [e for e in recovery.events[events:] if e["kind"] == "sweep"]
+    assert sorted(e["shard"] for e in sweeps) == sorted(stale)
+
+
+# ---------------------------------------------------------------------------
+# divergence: identity first, digests only where logs differ
+# ---------------------------------------------------------------------------
+
+LOG = 4  # canonical segments per shard: a base and three slices
+
+content = st.tuples(
+    st.lists(st.tuples(subject, doc, polarity.filter(lambda p: p.is_polar)), max_size=2),
+    st.lists(st.tuples(doc, text), max_size=1),
+    docs,
+)
+
+replica_log = st.tuples(
+    st.booleans(),  # share the previous replica's log object outright
+    st.integers(1, LOG),  # how much of the canonical log it holds
+    st.lists(st.booleans(), min_size=LOG, max_size=LOG),  # equal-content copies
+    st.lists(content, max_size=2),  # a divergent suffix
+)
+
+
+def built(version, spec):
+    entries, entities, tombstones = spec
+    segment = ShardSegment(version=version, tombstones=tombstones)
+    for subject_name, doc_id, polarity_ in entries:
+        segment.sentiment.add_entry(entry(subject_name, doc_id, polarity_))
+    for doc_id, body in entities:
+        segment.inverted.add_entity(Entity(entity_id=doc_id, content=body))
+    return segment
+
+
+def digest_only_divergence(index, up):
+    return [
+        shard_id
+        for shard_id in index.shard_ids()
+        if len({uncached_vector(r) for r in index.replicas_for(shard_id) if r.node_id in up})
+        > 1
+    ]
+
+
+class TestDivergenceDifferential:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_identity_first_divergence_equals_digest_only(self, data):
+        index = ReplicatedIndex(SHARDS, NODES, replication=3)
+        recovery = RecoveryManager(index, None)
+        for shard_id in index.shard_ids():
+            canonical = [built(v, data.draw(content)) for v in range(LOG)]
+            previous = None
+            for replica in index.replicas_for(shard_id):
+                share, length, copies, suffix = data.draw(replica_log)
+                if share and previous is not None:
+                    replica.rebind(previous)
+                    continue
+                log = [copied(s) if c else s for s, c in zip(canonical[:length], copies)]
+                log += [built(length + i, spec) for i, spec in enumerate(suffix)]
+                replica.rebind(previous := tuple(log))
+        up = data.draw(st.sets(node))
+        assert recovery._diverged_shards(up) == digest_only_divergence(index, up)
