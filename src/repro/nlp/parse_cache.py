@@ -21,8 +21,8 @@ that shape, so a sentence parses once per shape, not once per text.
   own lemmatizer is copular.  The parser makes a post-verbal NP the
   complement of a copular clause and the object of any other, so "The
   camera looks a bargain." and "The camera takes a picture." share a
-  tag sequence but not a parse.  The bit is computed once per verb word
-  type from a bounded table.
+  tag sequence but not a parse.  The lemma is computed once per verb
+  word type into a bounded table, and the bit read from it.
 
 Offsets are not in the key: the parser uses them only to order tokens,
 which the token index already does.
@@ -30,11 +30,16 @@ which the token index already does.
 **On a hit** the memo materialises a fresh
 :class:`~repro.nlp.parser.SentenceParse` against the caller's tokens
 from an offset-free *skeleton*: chunks as token indices, the clause
-structure, preposition strings and ``hypothetical``.  Two fields read
-open-class text and are recomputed for the caller:
+structure, preposition strings and ``hypothetical``.  The chunks are
+built without re-validating their spans: the indices come from a parse
+of the same shape, so each span is valid by construction.  Two fields
+read open-class text and are looked up or recomputed for the caller:
 
-* ``predicate_lemma``, by :meth:`ShallowParser.predicate_lemma` on the
-  materialised verb group;
+* ``predicate_lemma``, read from the verb-lemma table for the
+  predicate's head verb, which the key just looked up.  A head the table
+  does not hold — a modal, a word whose text the key records, or one
+  lost when the table was cleared — goes through
+  :meth:`ShallowParser.predicate_lemma`;
 * ``negated``, by :meth:`ShallowParser.is_negated` over the clause's
   segment, kept as a token-index range — its 24-character window
   depends on offsets and on the lengths of open-class words.  A segment
@@ -62,7 +67,7 @@ from .parser import (
     ShallowParser,
     is_negator,
 )
-from .tokens import Chunk, TaggedSentence, TaggedToken
+from .tokens import Chunk, TaggedSentence, TaggedToken, _chunk
 
 #: One token's share of a shape: its tag, ``(tag, lowercased text)`` for
 #: a word the parser reads, or ``(tag, copular)`` for a verb.
@@ -84,18 +89,21 @@ class _ChunkSkeleton:
     indices: tuple[int, ...]
 
     def materialize(self, tokens: list[TaggedToken]) -> Chunk:
-        return Chunk(self.label, tuple([tokens[i] for i in self.indices]))
+        return _chunk(self.label, tuple([tokens[i] for i in self.indices]))
 
 
 @dataclass(frozen=True)
 class _ClauseSkeleton:
     """One clause with every chunk reduced to token indices.
 
+    ``head`` is the token index of the predicate's last verb, whose
+    lemma is the clause's, or None for a group without one (a modal).
     ``negation_scope`` is the clause segment's token range when that
     segment holds a negator, else None (the clause is not negated).
     """
 
     predicate: _ChunkSkeleton
+    head: int | None
     subject: _ChunkSkeleton | None
     objects: tuple[_ChunkSkeleton, ...]
     complement: _ChunkSkeleton | None
@@ -103,14 +111,20 @@ class _ClauseSkeleton:
     negation_scope: tuple[int, int] | None
     hypothetical: bool
 
-    def materialize(self, tokens: list[TaggedToken], parser: ShallowParser) -> Clause:
+    def materialize(
+        self, tokens: list[TaggedToken], parser: ShallowParser, verb_lemmas: dict[str, str]
+    ) -> Clause:
         subject = self.subject
         complement = self.complement
         predicate = self.predicate.materialize(tokens)
+        head = self.head
+        lemma = verb_lemmas.get(tokens[head].token.lower) if head is not None else None
+        if lemma is None:
+            lemma = parser.predicate_lemma(predicate)
         scope = self.negation_scope
         return Clause(
             predicate,
-            parser.predicate_lemma(predicate),
+            lemma,
             subject.materialize(tokens) if subject is not None else None,
             [o.materialize(tokens) for o in self.objects],
             complement.materialize(tokens) if complement is not None else None,
@@ -133,8 +147,10 @@ def _clause_skeleton(
     tokens: list[TaggedToken],
     index_by_start: dict[int, int],
 ) -> _ClauseSkeleton:
+    verbs = [t for t in clause.predicate.tokens if t.tag in penn.VERB_TAGS]
     return _ClauseSkeleton(
         predicate=_chunk_skeleton(clause.predicate, index_by_start),
+        head=index_by_start[verbs[-1].start] if verbs else None,
         subject=(
             _chunk_skeleton(clause.subject, index_by_start) if clause.subject else None
         ),
@@ -165,16 +181,16 @@ class ParseMemo:
     throughput benchmark's baseline.
     """
 
-    #: Copularity-table bound; the table is cleared wholesale when it fills.
-    _COPULAR_TABLE_MAX = 4096
+    #: Verb-lemma table bound; the table is cleared wholesale when it fills.
+    _VERB_LEMMA_TABLE_MAX = 4096
 
     def __init__(self, parser: ShallowParser, maxsize: int = 128):
         self._parser = parser
         self._maxsize = maxsize
         self._cache: OrderedDict[Shape, tuple[_ClauseSkeleton, ...]] = OrderedDict()
-        # Lowercased verb form -> is its lemma copular.  A verb's lemma
-        # depends on its text, not on which VB* tag it carries.
-        self._copular: dict[str, bool] = {}
+        # Lowercased verb form -> its lemma.  A verb's lemma depends on
+        # its text, not on which VB* tag it carries.
+        self._verb_lemmas: dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -201,7 +217,7 @@ class ParseMemo:
 
     def shape(self, tagged: TaggedSentence) -> Shape:
         """The memo key of *tagged*: what the parser reads of each token."""
-        copular = self._copular
+        lemmas = self._verb_lemmas
         parts: list[ShapePart] = []
         for tok in tagged.tokens:
             tag = tok.tag
@@ -210,13 +226,13 @@ class ParseMemo:
                 # The text fixes the lemma too, so it subsumes the copular bit.
                 parts.append((tag, lower))
             elif tag in penn.VERB_TAGS:
-                bit = copular.get(lower)
-                if bit is None:
-                    bit = self._parser.head_lemma(tok) in COPULAR_VERBS
-                    if len(copular) >= self._COPULAR_TABLE_MAX:
-                        copular.clear()
-                    copular[lower] = bit
-                parts.append((tag, bit))
+                lemma = lemmas.get(lower)
+                if lemma is None:
+                    lemma = self._parser.head_lemma(tok)
+                    if len(lemmas) >= self._VERB_LEMMA_TABLE_MAX:
+                        lemmas.clear()
+                    lemmas[lower] = lemma
+                parts.append((tag, lemma in COPULAR_VERBS))
             else:
                 parts.append(tag)
         return tuple(parts)
@@ -238,7 +254,9 @@ class ParseMemo:
             self._cache.move_to_end(key)
             # Coordinated-subject inheritance is part of the parse and is
             # already baked into each skeleton's subject indices.
-            return SentenceParse(tagged, [s.materialize(tokens, parser) for s in skeletons]), True
+            lemmas = self._verb_lemmas
+            clauses = [s.materialize(tokens, parser, lemmas) for s in skeletons]
+            return SentenceParse(tagged, clauses), True
         self.misses += 1
         clauses = parser.parse_clauses(tagged)
         index_by_start = {t.start: i for i, t in enumerate(tokens)}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from . import lexicon_pos, penn
-from .tokens import Sentence, TaggedSentence, TaggedToken, Token
+from .tokens import Sentence, TaggedSentence, TaggedToken, Token, _tagged_token
 
 _PUNCT_TAGS = {
     ".": ".",
@@ -165,8 +165,8 @@ class PosTagger:
 
     def tag(self, sentence: Sentence) -> TaggedSentence:
         """Tag one sentence."""
-        tags = self._sentence_tags(sentence.tokens)
-        tagged = [TaggedToken(tok, tag) for tok, tag in zip(sentence.tokens, tags)]
+        tokens = sentence.tokens
+        tagged = list(map(_tagged_token, tokens, self._sentence_tags(tokens)))
         return TaggedSentence(tagged, index=sentence.index)
 
     def _sentence_tags(self, tokens: list[Token]) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .tokens import Token
+from .tokens import Token, _token
 
 #: Abbreviations that end with a period which does NOT end a sentence.
 ABBREVIATIONS = frozenset(
@@ -77,15 +77,22 @@ _WORD_RE = re.compile(
     re.VERBOSE,
 )
 
+#: A split-table entry: ``(piece, offset, length, lower)`` per token of
+#: the match, and the lowered pieces alone.
+_SplitEntry = tuple[tuple[tuple[str, int, int, str], ...], tuple[str, ...]]
+
 
 class Tokenizer:
     """Deterministic rule-based tokenizer.
 
     How a regex match splits into tokens depends only on the matched
     string and the abbreviation set, so each instance keeps a table from
-    match to its ``(piece, offset)`` split, relative to the match start,
-    and to the lowercased pieces :meth:`terms` reads.  Prose repeats a
-    small vocabulary, so almost every match is split once.
+    match to its split: one ``(piece, offset, length, lower)`` per token,
+    with the offset relative to the match start, plus the lowercased
+    pieces alone, which :meth:`terms` reads.  Prose repeats a small
+    vocabulary, so almost every match is split once, and
+    :meth:`tokenize` builds each token straight from its entry, without
+    re-checking the span or re-lowering the text.
 
     Parameters
     ----------
@@ -99,7 +106,7 @@ class Tokenizer:
 
     def __init__(self, extra_abbreviations: frozenset[str] | set[str] | None = None):
         self._abbreviations = ABBREVIATIONS | frozenset(extra_abbreviations or ())
-        self._splits: dict[str, tuple[tuple[tuple[str, int], ...], tuple[str, ...]]] = {}
+        self._splits: dict[str, _SplitEntry] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -114,9 +121,9 @@ class Tokenizer:
             if entry is None:
                 entry = self._split_entry(raw)
             start = match.start()
-            for piece, offset in entry[0]:
+            for piece, offset, length, lower in entry[0]:
                 begin = start + offset
-                append(Token(piece, begin, begin + len(piece)))
+                append(_token(piece, begin, begin + length, lower))
         return tokens
 
     def terms(self, text: str) -> list[str]:
@@ -135,12 +142,13 @@ class Tokenizer:
 
     # -- internals ----------------------------------------------------------
 
-    def _split_entry(
-        self, raw: str
-    ) -> tuple[tuple[tuple[str, int], ...], tuple[str, ...]]:
+    def _split_entry(self, raw: str) -> _SplitEntry:
         """Split *raw* and record it in the bounded split table."""
-        pieces = tuple((t.text, t.start) for t in self._split_raw(raw, 0))
-        entry = (pieces, tuple(piece.lower() for piece, _ in pieces))
+        tokens = self._split_raw(raw, 0)
+        entry = (
+            tuple([(t.text, t.start, t.end - t.start, t.lower) for t in tokens]),
+            tuple([t.lower for t in tokens]),
+        )
         splits = self._splits
         if len(splits) >= self._SPLIT_TABLE_MAX:
             splits.clear()

@@ -4,6 +4,12 @@ Every stage of the pipeline (tokenizer, tagger, chunker, parser, and the
 WebFountain-style miners) exchanges these types.  Character offsets always
 refer to the *original* document text, which lets miners annotate entities
 without ever mutating the raw text — the WebFountain contract.
+
+The public constructors check their arguments.  The tokenizer, the tagger
+and the parse memo build tokens, tagged tokens and memo-hit chunks in bulk
+from facts their tables already fixed, so they use the private builders at
+the end of this module, which assign the fields directly: the same objects,
+without re-checking a span or re-lowering a text per token.
 """
 
 from __future__ import annotations
@@ -222,3 +228,51 @@ class Chunk:
 
     def __iter__(self) -> Iterator[TaggedToken]:
         return iter(self.tokens)
+
+
+# -- builders for facts already checked -----------------------------------
+#
+# Each assigns the fields that the public constructor would, skipping its
+# checks and derivations: the caller guarantees ``end - start ==
+# len(text)``, ``lower == text.lower()``, and a non-empty chunk whose
+# tokens are in order.  Equality, hashing, copying and pickling see the
+# same fields either way.
+
+_new = object.__new__
+_set_text = Token.text.__set__
+_set_start = Token.start.__set__
+_set_end = Token.end.__set__
+_set_lower = Token.lower.__set__
+_set_token = TaggedToken.token.__set__
+_set_tag = TaggedToken.tag.__set__
+_set_label = Chunk.label.__set__
+_set_tokens = Chunk.tokens.__set__
+_set_span = Chunk.span.__set__
+
+
+def _token(text: str, start: int, end: int, lower: str) -> Token:
+    token = _new(Token)
+    _set_text(token, text)
+    _set_start(token, start)
+    _set_end(token, end)
+    _set_lower(token, lower)
+    return token
+
+
+def _tagged_token(token: Token, tag: str) -> TaggedToken:
+    tagged = _new(TaggedToken)
+    _set_token(tagged, token)
+    _set_tag(tagged, tag)
+    return tagged
+
+
+def _chunk(label: str, tokens: tuple[TaggedToken, ...]) -> Chunk:
+    span = _new(Span)
+    fields = span.__dict__
+    fields["start"] = tokens[0].token.start
+    fields["end"] = tokens[-1].token.end
+    chunk = _new(Chunk)
+    _set_label(chunk, label)
+    _set_tokens(chunk, tokens)
+    _set_span(chunk, span)
+    return chunk

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ...core import SentimentMiner, Subject
 from ...corpora import DOMAINS, ReviewGenerator
@@ -30,7 +30,6 @@ from ..datastore import DataStore
 from ..entity import Entity
 from ..faults import FAIL, TIMEOUT, FaultPlan
 from ..ingestion import DELTA_ADD, DocumentDelta
-from ..recovery import RecoveryManager
 from ..segments import DeltaIndexer, LiveIndexer
 from ..vinci import VinciBus
 from ..wal import WriteAheadLog
@@ -42,6 +41,9 @@ from .router import (
     node_service,
 )
 from .shards import ReplicatedIndex
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..recovery import RecoveryManager
 
 
 @dataclass(frozen=True)
@@ -397,6 +399,10 @@ def build_scenario(
         lo, hi = DEFAULT_RESTART_WINDOW
         now = obs.clock.now
         schedule_restarts(plan, window=(now + lo, now + hi))
+        # Imported here: the recovery module imports the serving shards,
+        # whose package imports this module.
+        from ..recovery import RecoveryManager
+
         recovery = RecoveryManager(
             index,
             plan,

@@ -213,6 +213,17 @@ def same_shape_pair(draw) -> tuple[TaggedSentence, TaggedSentence]:
     return build(first), build(second)
 
 
+def chunk_spans(clause):
+    """The span of every chunk of *clause*, role by role."""
+    return (
+        clause.predicate.span,
+        clause.subject.span if clause.subject else None,
+        [o.span for o in clause.objects],
+        clause.complement.span if clause.complement else None,
+        [pp.noun_phrase.span for pp in clause.prep_phrases],
+    )
+
+
 class TestShapeHits:
     @settings(max_examples=400, deadline=None)
     @given(pair=same_shape_pair())
@@ -235,6 +246,8 @@ class TestShapeHits:
             assert got.complement == want.complement
             assert got.prep_phrases == want.prep_phrases
             assert got.hypothetical == want.hypothetical
+            # ``Chunk.span`` is left out of ``==``: compare it directly.
+            assert chunk_spans(got) == chunk_spans(want)
         assert parse == fresh
 
 

@@ -12,6 +12,9 @@ cleared, so it never grows past the bound and outputs do not change.
 texts of ``tokenize`` on the same material, plus whitespace-only text.
 """
 
+import copy
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,13 +67,23 @@ def direct_tags(tagger, tokens):
     return tuple(tagger._apply_context_rules(tokens, lexical))
 
 
+def assert_same_token(got, want):
+    """Equal in the fields ``==`` leaves out too, and after a copy or pickle."""
+    assert got == want and got.lower == want.lower and hash(got) == hash(want)
+    for clone in (copy.copy(got), pickle.loads(pickle.dumps(got))):
+        assert clone == want and clone.lower == want.lower and hash(clone) == hash(want)
+
+
 class TestTokenizerTable:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(prose(), min_size=1, max_size=4))
     def test_table_equals_direct_split(self, texts):
         tokenizer = Tokenizer(extra_abbreviations={"config."})
         for text in texts + texts:  # the second pass is served from the table
-            assert tokenizer.tokenize(text) == direct_tokens(tokenizer, text)
+            tokens = tokenizer.tokenize(text)
+            assert tokens == direct_tokens(tokenizer, text)
+            for token in tokens:
+                assert_same_token(token, Token(token.text, token.start, token.end))
 
     def test_table_is_per_instance(self):
         plain, extended = Tokenizer(), Tokenizer(extra_abbreviations={"config."})

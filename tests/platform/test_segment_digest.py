@@ -20,13 +20,11 @@ from repro.nlp.tokens import Span
 from repro.platform.entity import Entity
 from repro.platform.indexer import InvertedIndex, SentimentEntry, SentimentIndex
 from repro.platform.ingestion import DELTA_ADD, DocumentDelta
+from repro.platform.recovery import RecoveryManager
 from repro.platform.segments import IndexSegment, SegmentStats, ShardSegment
 from repro.platform.serving import ReplicatedIndex, build_scenario
 from repro.platform.serving import shards
 from repro.platform.serving.shards import _segment_hash, segment_digest
-
-# After the serving package, which imports the recovery module itself.
-from repro.platform.recovery import RecoveryManager
 
 pytestmark = pytest.mark.recovery
 
