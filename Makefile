@@ -7,7 +7,9 @@ export PYTHONPATH
 test: lint
 	python -m pytest -x -q
 
-# Deterministic fault-injection suite only (seeded chaos schedules).
+# Deterministic fault-injection suite only (seeded chaos schedules; the
+# harness that expands a seed and checks run invariants is
+# tests/support/chaos.py).
 chaos:
 	python -m pytest -q -m chaos
 

@@ -129,7 +129,7 @@ def _freshness_stats() -> dict:
         "lag_max": max(lags),
         "indexing_sim_time": indexing_time,
         "docs_per_sim_sec": (docs / indexing_time) if indexing_time else 0.0,
-        "compactions": int(obs.metrics.counter("segments.compactions").value),
+        "compactions": int(obs.metrics.counter("compaction.runs").value),
         "total_sim_time": obs.clock.now - started,
     }
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .dataflow import EV_ASSIGN, EV_CALL, CfgNode, FunctionCfg, build_cfg
@@ -895,10 +894,3 @@ def build_program(
     summaries: Iterable[ModuleSummary],
 ) -> Program:
     return Program(summaries)
-
-
-def parse_and_summarize(path: str | Path, modpath: str) -> ModuleSummary:
-    """Parse one file from disk and summarize it (tests and tools)."""
-    raw = Path(path).read_bytes()
-    tree = ast.parse(raw.decode("utf-8"), filename=str(path))
-    return summarize_module(modpath, str(path), tree, content_digest(raw))

@@ -27,11 +27,15 @@ graph, summaries, CFGs — built once per lint run:
   path — append-before-mutate is what makes crash replay exact
   (DESIGN.md §5j).
 * **DEAD001** dead public symbols: module-level functions, classes and
-  assignments referenced nowhere in the project — src plus the
-  *reference roots* (tests/, benchmarks/, examples/, perfbench/), which
-  count as users but are not themselves analyzed.  An ``__all__``
-  re-export is reported when nothing imports through it, and it keeps
-  the name it binds alive only while something uses the re-export.
+  assignments referenced nowhere in src or the *reference roots*, which
+  count as users but are not themselves analyzed.  ``repro lint`` passes
+  tests/, benchmarks/, examples/ and perfbench/, so a definition only
+  tests reach passes the lint; the tier-1 guard
+  (``tests/analysis/test_src_clean.py``) runs the rule again without
+  tests/, so every public definition must be reached outside tests.  An
+  ``__all__`` re-export is reported when nothing imports through it, and
+  it keeps the name it binds alive only while something uses the
+  re-export.
 
 All rules yield findings sorted by (path, line, message) so report
 order is stable run to run.
@@ -754,11 +758,16 @@ class WalOrderingRule(ProgramRule):
 class DeadSymbolRule(ProgramRule):
     """Module-level symbols nothing references anywhere (DEAD001).
 
-    "Anywhere" means the analyzed program plus the *reference roots*
-    (tests/, benchmarks/, examples/, perfbench/) — files that are
-    scanned for imports and attribute accesses but not themselves
-    analyzed, so a test-only API is alive while a re-export no test or
-    module touches is dead.  A *re-export* is an import binding the
+    "Anywhere" means the analyzed program plus the *reference roots* —
+    files that are scanned for imports and attribute accesses but not
+    themselves analyzed.  The rule holds at two tiers.  ``repro lint``
+    passes tests/, benchmarks/, examples/ and perfbench/, so there a
+    test-only API is alive and only a symbol reached nowhere is dead.
+    The tier-1 guard (``tests/analysis/test_src_clean.py``) passes
+    benchmarks/, examples/ and perfbench/ alone and fails on any public
+    definition it reports, so a definition only tests reach is dead
+    there; package re-exports stay out of that tier, being the
+    packages' import surface.  A *re-export* is an import binding the
     module lists in ``__all__``: it is not itself a use of the name it
     binds, but every use of the re-export is (``repro.nlp.X`` keeps
     ``repro/nlp/<module>.X`` alive), so a package ``__init__`` cannot
@@ -772,8 +781,10 @@ class DeadSymbolRule(ProgramRule):
     name = "dead-symbols"
     severity = Severity.WARNING
     invariant = (
-        "every public module-level symbol is referenced somewhere in the "
-        "project (src, tests, benchmarks, examples, or perfbench)"
+        "every public module-level symbol is reached somewhere in the "
+        "project (src, tests, benchmarks, examples, or perfbench); the "
+        "tier-1 guard also requires every public definition to be reached "
+        "outside tests (src, benchmarks, examples, or perfbench)"
     )
 
     def __init__(self, reference_roots: tuple[str, ...] = ()):
@@ -808,6 +819,7 @@ class DeadSymbolRule(ProgramRule):
                 used.add(origin)
                 if origin in origins:
                     pending.append(origin)
+        scope = ", ".join(["src", *(Path(r).name for r in self.reference_roots)])
         findings: list[Finding] = []
         for modpath, summary in program.modules.items():
             if not self.applies_to(modpath):
@@ -828,8 +840,8 @@ class DeadSymbolRule(ProgramRule):
                 findings.append(
                     self.finding(
                         f"public {what} {name!r} is referenced nowhere in "
-                        "the project (src, tests, benchmarks, examples, "
-                        "perfbench); delete it or add the missing consumer",
+                        f"the project ({scope}); delete it or add the "
+                        "missing consumer",
                         path=summary.path,
                         line=lineno,
                     )

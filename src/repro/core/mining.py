@@ -31,12 +31,6 @@ from .entity import Entity
 T = TypeVar("T")
 
 
-class EntityPartition(Protocol):
-    """One shard of an entity store, scannable in stable order."""
-
-    def scan(self) -> Iterator[Entity]: ...
-
-
 class EntityStore(Protocol):
     """The store surface the miner framework needs.
 
@@ -44,14 +38,9 @@ class EntityStore(Protocol):
     tests may substitute any in-memory object with the same methods.
     """
 
-    @property
-    def num_partitions(self) -> int: ...
-
     def scan(self) -> Iterator[Entity]: ...
 
     def store(self, entity: Entity) -> None: ...
-
-    def partition(self, index: int) -> EntityPartition: ...
 
 
 class EntityMiner(abc.ABC):
@@ -182,25 +171,11 @@ class MinerPipeline:
         return report
 
 
-def run_corpus_miner(miner: CorpusMiner[T], store: EntityStore) -> T:
-    """Execute a corpus miner partition-by-partition, then reduce.
-
-    This is the single-node path; :mod:`repro.platform.cluster` runs the
-    same hooks across simulated nodes.
-    """
-    partials = [
-        miner.map_partition(store.partition(i).scan()) for i in range(store.num_partitions)
-    ]
-    return miner.reduce(partials)
-
-
 __all__ = [
     "CorpusMiner",
     "EntityMiner",
-    "EntityPartition",
     "EntityStore",
     "MinerPipeline",
     "PipelineError",
     "PipelineReport",
-    "run_corpus_miner",
 ]

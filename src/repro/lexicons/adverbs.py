@@ -1,9 +1,9 @@
-"""Sentiment adverbs and intensifiers.
+"""Sentiment adverbs.
 
 Sentiment adverbs carry polarity themselves ("beautifully", "poorly").
-Intensifiers do not; they strengthen an adjacent sentiment word.  The
-paper's polarity model is binary and unweighted, so the phrase scorer
-gives an intensified word the same single vote as a bare one.
+The paper's polarity model is binary and unweighted, so the phrase
+scorer gives an intensified word ("extremely good") the same single vote
+as a bare one.
 """
 
 from __future__ import annotations
@@ -46,25 +46,6 @@ NEGATIVE_ADVERBS: tuple[str, ...] = tuple(
                 "sluggishly terribly unacceptably unbearably unevenly "
                 "unfairly unfortunately unpredictably unreliably weakly "
                 "woefully wretchedly wrongly"
-            ).split()
-        )
-    )
-)
-
-#: Degree adverbs that strengthen an adjacent sentiment word.
-INTENSIFIERS: tuple[str, ...] = tuple(
-    sorted(
-        set(
-            (
-                "absolutely amazingly awfully completely considerably "
-                "decidedly deeply distinctly downright enormously "
-                "especially exceedingly exceptionally extraordinarily "
-                "extremely genuinely highly hugely immensely incredibly "
-                "intensely outright particularly perfectly phenomenally "
-                "profoundly quite really remarkably seriously severely "
-                "significantly so strikingly strongly substantially "
-                "supremely terribly thoroughly totally truly utterly very "
-                "wildly"
             ).split()
         )
     )

@@ -6,7 +6,6 @@ Adapter miners communicate exclusively through entity annotation layers:
 * ``sentence`` — one annotation per sentence (label = sentence index);
 * ``pos``      — one annotation per token (label = Penn tag);
 * ``spot``     — subject occurrences (label = canonical subject name);
-* ``entity``   — named-entity occurrences (label = entity name);
 * ``sentiment``— judgments (label = polarity symbol; attributes carry
   the subject and pattern provenance).
 
@@ -19,14 +18,13 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from ..core.model import Spot, Subject
-from ..nlp.tokens import Sentence, TaggedSentence, TaggedToken, Token
+from ..nlp.tokens import Sentence, Token
 from ..core.entity import Annotation, Entity
 
 TOKEN_LAYER = "token"
 SENTENCE_LAYER = "sentence"
 POS_LAYER = "pos"
 SPOT_LAYER = "spot"
-ENTITY_LAYER = "entity"
 SENTIMENT_LAYER = "sentiment"
 
 
@@ -60,19 +58,6 @@ def sentences_from(entity: Entity) -> list[Sentence]:
         for annotation, group in zip(annotations, groups)
         if group
     ]
-
-
-def tagged_sentences_from(entity: Entity) -> list[TaggedSentence]:
-    """Rebuild tagged sentences from ``sentence`` + ``pos`` layers."""
-    tags_by_start = {a.span.start: a.label for a in entity.layer(POS_LAYER)}
-    out: list[TaggedSentence] = []
-    for sentence in sentences_from(entity):
-        tagged = [
-            TaggedToken(token, tags_by_start.get(token.start, "NN"))
-            for token in sentence.tokens
-        ]
-        out.append(TaggedSentence(tagged, index=sentence.index))
-    return out
 
 
 def spots_from(entity: Entity, subjects_by_name: dict[str, Subject] | None = None) -> list[Spot]:

@@ -1,11 +1,8 @@
 """The sentiment miner as a platform entity miner.
 
-Two adapters, one per operational mode:
-
-* :class:`SentimentEntityMiner` — mode A: reads the ``spot`` layer,
-  writes ``sentiment`` annotations;
-* :class:`OpenSentimentEntityMiner` — mode B: reads the ``entity`` layer
-  (named entities), analyzes sentiment-bearing sentences only.
+:class:`SentimentEntityMiner` is mode A's adapter: it reads the ``spot``
+layer and writes ``sentiment`` annotations.  Mode B (open subjects) runs
+through :class:`~repro.core.miner.SentimentMiner` given no subject list.
 
 Sentiment annotations span the *spot* and carry polarity in ``label``
 plus provenance in attributes, so the indexer can turn them into
@@ -66,12 +63,10 @@ class SentimentEntityMiner(EntityMiner):
     def __init__(
         self,
         analyzer: SentimentAnalyzer | None = None,
-        polar_only: bool = False,
         obs: Obs | None = None,
     ):
         self._obs = obs if obs is not None else Obs.default()
         self._analyzer = analyzer or SentimentAnalyzer(obs=self._obs)
-        self._polar_only = polar_only
 
     @property
     def analyzer(self) -> SentimentAnalyzer:
@@ -83,38 +78,6 @@ class SentimentEntityMiner(EntityMiner):
             base.sentences_from(entity), base.spots_from(entity)
         )
         for judgment, inherited in judged:
-            if self._polar_only and not judgment.polarity.is_polar:
-                continue
             audit_judgment(self._obs.audit, judgment, inherited)
             _annotate_judgment(entity, judgment)
 
-
-class OpenSentimentEntityMiner(EntityMiner):
-    """Mode B: judge named entities in sentiment-bearing sentences."""
-
-    name = "open-sentiment-miner"
-    requires = (base.TOKEN_LAYER, base.SENTENCE_LAYER, base.POS_LAYER, base.ENTITY_LAYER)
-    provides = (base.SENTIMENT_LAYER,)
-
-    def __init__(self, analyzer: SentimentAnalyzer | None = None, obs: Obs | None = None):
-        self._obs = obs if obs is not None else Obs.default()
-        self._analyzer = analyzer or SentimentAnalyzer(obs=self._obs)
-
-    def process(self, entity: Entity) -> None:
-        entity.clear_layer(base.SENTIMENT_LAYER)
-        ne_spots = [
-            Spot(
-                subject=Subject(a.label),
-                term=entity.text_of(a),
-                span=a.span,
-                sentence_index=int(a.attribute("sentence", 0)),
-                document_id=entity.entity_id,
-            )
-            for a in entity.layer(base.ENTITY_LAYER)
-        ]
-        if not ne_spots:
-            return
-        for judgment in self._analyzer.judge_bearing(base.tagged_sentences_from(entity), ne_spots):
-            if judgment.polarity.is_polar:
-                audit_judgment(self._obs.audit, judgment)
-                _annotate_judgment(entity, judgment)

@@ -86,26 +86,19 @@ class Tokenizer:
     """Deterministic rule-based tokenizer.
 
     How a regex match splits into tokens depends only on the matched
-    string and the abbreviation set, so each instance keeps a table from
-    match to its split: one ``(piece, offset, length, lower)`` per token,
-    with the offset relative to the match start, plus the lowercased
-    pieces alone, which :meth:`terms` reads.  Prose repeats a small
-    vocabulary, so almost every match is split once, and
-    :meth:`tokenize` builds each token straight from its entry, without
-    re-checking the span or re-lowering the text.
-
-    Parameters
-    ----------
-    extra_abbreviations:
-        Additional lowercase abbreviation forms (ending in ``.``) that
-        should keep their trailing period.
+    string, so each instance keeps a table from match to its split: one
+    ``(piece, offset, length, lower)`` per token, with the offset
+    relative to the match start, plus the lowercased pieces alone, which
+    :meth:`terms` reads.  Prose repeats a small vocabulary, so almost
+    every match is split once, and :meth:`tokenize` builds each token
+    straight from its entry, without re-checking the span or re-lowering
+    the text.
     """
 
     #: Split-table bound; the table is cleared wholesale when it fills.
     _SPLIT_TABLE_MAX = 16384
 
-    def __init__(self, extra_abbreviations: frozenset[str] | set[str] | None = None):
-        self._abbreviations = ABBREVIATIONS | frozenset(extra_abbreviations or ())
+    def __init__(self):
         self._splits: dict[str, _SplitEntry] = {}
 
     # -- public API ---------------------------------------------------------
@@ -168,7 +161,7 @@ class Tokenizer:
 
     def _keeps_period(self, raw: str) -> bool:
         lower = raw.lower()
-        if lower in self._abbreviations:
+        if lower in ABBREVIATIONS:
             return True
         # Single capital initial, e.g. "J." in "J. Yi".
         if len(raw) == 2 and raw[0].isupper():

@@ -21,7 +21,7 @@ from .ingestion import (
     IngestionManager,
     NewsFeedIngestor,
 )
-from ..core.mining import MinerPipeline, run_corpus_miner
+from ..core.mining import MinerPipeline
 from .services import register_services
 from .vinci import VinciBus
 
@@ -40,5 +40,4 @@ __all__ = [
     "SentimentIndex",
     "VinciBus",
     "register_services",
-    "run_corpus_miner",
 ]

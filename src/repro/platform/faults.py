@@ -7,8 +7,9 @@ for the simulation: a :class:`FaultPlan` is a seeded, fully
 deterministic schedule of failures that the bus, store, and cluster
 consult at well-defined points.  There is no wall-clock randomness —
 the same seed always produces the same faults in the same order, which
-is what makes the chaos tests (:mod:`repro.platform.chaos`)
-reproducible assertions instead of flaky roulette.
+is what makes the chaos tests reproducible assertions instead of flaky
+roulette.  :func:`schedule_restarts` adds seeded rejoin times to a
+plan's node deaths, for the crash-restart serving runs.
 
 Fault kinds
 -----------
@@ -286,3 +287,36 @@ class FaultPlan:
         if self._node_restarts:
             out["scheduled_node_restarts"] = len(self._node_restarts)
         return out
+
+
+#: Default simulated-time window in which a killed node rejoins.
+DEFAULT_RESTART_WINDOW = (4.0, 12.0)
+
+#: Seed salt so restart draws are independent of however many draws the
+#: plan's own RNG made while scheduling deaths and service faults.
+_RESTART_SALT = 0x5BD1E995
+
+
+def schedule_restarts(
+    plan: FaultPlan,
+    *,
+    window: tuple[float, float] = DEFAULT_RESTART_WINDOW,
+) -> dict[int, float]:
+    """Attach seeded rejoin times to a plan's scheduled node deaths.
+
+    Every dead node gets a restart drawn uniformly
+    from *window* using ``random.Random(plan.seed ^ salt)`` — a fresh
+    generator, so the rejoin times depend only on the seed and the
+    sorted node order, never on how many draws built the rest of the
+    plan.  Returns ``{node_id: rejoin_time}`` for reports and tests.
+    """
+    lo, hi = window
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"restart window must satisfy 0 <= lo <= hi, got {window}")
+    rng = random.Random(plan.seed ^ _RESTART_SALT)
+    times: dict[int, float] = {}
+    for node_id in sorted(plan.dead_nodes):
+        at = lo + (hi - lo) * rng.random()
+        plan.restart_node(node_id, after_cost=at)
+        times[node_id] = at
+    return times

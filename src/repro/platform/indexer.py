@@ -28,7 +28,6 @@ from .entity import Entity
 from .query import (
     And,
     Concept,
-    Near,
     Not,
     Or,
     Phrase,
@@ -40,18 +39,8 @@ from .query import (
 )
 
 
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in kilometres (spherical earth, R=6371)."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2 * 6371.0 * math.asin(math.sqrt(a))
-
-
 #: The tokenizer every :class:`InvertedIndex` built without one shares, so
-#: its split table stays warm across segments and merges.  The table
-#: depends only on the abbreviation set, which this instance never extends.
+#: its split table stays warm across segments and merges.
 _DEFAULT_TOKENIZER = Tokenizer()
 
 #: Bound on each index's read memos (regex matches, live subject
@@ -75,12 +64,11 @@ class InvertedIndex:
 
     def __init__(self, tokenizer: Tokenizer | None = None):
         self._tokenizer = tokenizer or _DEFAULT_TOKENIZER
-        # term -> entity id -> positions.  Position and location tuples
-        # are immutable, so absorbed and partitioned indexes share them.
+        # term -> entity id -> positions.  Position tuples are
+        # immutable, so absorbed and partitioned indexes share them.
         self._postings: dict[str, dict[str, tuple[int, ...]]] = defaultdict(dict)
         self._concepts: dict[tuple[str, str], set[str]] = defaultdict(set)
         self._metadata: dict[str, dict[str, float]] = defaultdict(dict)
-        self._locations: dict[str, tuple[tuple[float, float], ...]] = {}
         self._doc_ids: set[str] = set()
         self.mutations = 0
         # pattern -> matching ids, valid while ``mutations`` equals the stamp.
@@ -102,17 +90,10 @@ class InvertedIndex:
         postings = self._postings
         for term, hits in positions.items():
             postings[term][entity_id] = tuple(hits)
-        points: list[tuple[float, float]] = []
         for layer in entity.layers():
             for annotation in entity.layer(layer):
                 self._concepts[(layer, annotation.label)].add(entity_id)
                 self._concepts[(layer, "")].add(entity_id)
-                lat = annotation.attribute("lat")
-                lon = annotation.attribute("lon")
-                if lat is not None and lon is not None:
-                    points.append((float(lat), float(lon)))
-        if points:
-            self._locations[entity_id] = tuple(points)
         for key, value in entity.metadata.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 self._metadata[key][entity_id] = float(value)
@@ -150,19 +131,17 @@ class InvertedIndex:
             values.pop(entity_id, None)
             if not values:
                 del self._metadata[field_name]
-        self._locations.pop(entity_id, None)
 
     def absorb(self, other: "InvertedIndex", skip: frozenset[str] = frozenset()) -> int:
         """Merge *other*'s documents into this index, excluding *skip* ids.
 
         Compaction merges a shard's segments with this: replaying another
         index's postings verbatim is byte-equivalent to re-adding the
-        original entities (token positions, concepts, metadata and
-        locations carry over).  A term whose postings hold no skipped id
-        is copied as one map; the rest are filtered once.  Position and
-        location tuples are shared, not copied.  Documents already
-        present are replaced, matching :meth:`add_entity` semantics.
-        Returns the documents absorbed.
+        original entities (token positions, concepts and metadata carry
+        over).  A term whose postings hold no skipped id is copied as one
+        map; the rest are filtered once.  Position tuples are shared, not
+        copied.  Documents already present are replaced, matching
+        :meth:`add_entity` semantics.  Returns the documents absorbed.
         """
         self.mutations += 1
         absorbed = other._doc_ids - skip
@@ -177,9 +156,6 @@ class InvertedIndex:
             if kept:
                 self._concepts[key].update(kept)
         _merge_maps(self._metadata, other._metadata, skip)
-        for entity_id, points in other._locations.items():
-            if entity_id in absorbed:
-                self._locations[entity_id] = points
         return len(absorbed)
 
     def partition(
@@ -187,10 +163,10 @@ class InvertedIndex:
     ) -> list["InvertedIndex"]:
         """Split this index into *parts* indexes by ``bucket(entity_id)``.
 
-        One walk over the postings, concepts, metadata and locations
-        routes each document's entries to its part, so slicing a sealed
-        segment across shards costs the same whatever the shard count.
-        Position and location tuples are shared, not copied.
+        One walk over the postings, concepts and metadata routes each
+        document's entries to its part, so slicing a sealed segment
+        across shards costs the same whatever the shard count.  Position
+        tuples are shared, not copied.
         """
         out = [InvertedIndex(self._tokenizer) for _ in range(parts)]
         home = {entity_id: out[bucket(entity_id)] for entity_id in self._doc_ids}
@@ -206,8 +182,6 @@ class InvertedIndex:
         for field_name, values in self._metadata.items():
             for entity_id, value in values.items():
                 home[entity_id]._metadata[field_name][entity_id] = value
-        for entity_id, points in self._locations.items():
-            home[entity_id]._locations[entity_id] = points
         return out
 
     # -- stats ------------------------------------------------------------------------
@@ -282,15 +256,6 @@ class InvertedIndex:
             return set(self._regex_matches(query))
         if isinstance(query, Concept):
             return set(self._concepts.get((query.layer, query.label), ()))
-        if isinstance(query, Near):
-            return {
-                entity_id
-                for entity_id, points in self._locations.items()
-                if any(
-                    haversine_km(query.lat, query.lon, lat, lon) <= query.radius_km
-                    for lat, lon in points
-                )
-            }
         raise TypeError(f"unknown query node {type(query).__name__}")
 
     def _regex_matches(self, query: Regex) -> frozenset[str]:

@@ -1,4 +1,4 @@
-"""Ingestion: crawler and source-specific ingestors.
+"""Ingestion: source-specific ingestors.
 
 "Large-scale Web content acquisition is done by Web crawlers.
 Acquisition of other sources, such as traditional news feeds,
@@ -9,10 +9,12 @@ unique delivery method and format of each source."
 Sources here are synthetic (DESIGN.md Section 2) but each ingestor still
 owns a distinct wire format, so the ingestion → datastore path is real:
 
-* :class:`WebCrawler` — follows links within a seeded synthetic site map;
 * :class:`NewsFeedIngestor` — headline/body records;
 * :class:`BulletinBoardIngestor` — threaded posts, flattened per thread;
 * :class:`CustomerDataIngestor` — structured ``field=value`` records.
+
+Web content needs no crawler: the synthetic web-page corpora are
+generated directly (:mod:`repro.corpora`).
 
 :class:`IngestionManager` drains these sources into the
 :class:`~repro.platform.datastore.DataStore` in one offline pass.  The
@@ -41,53 +43,6 @@ class Source(abc.ABC):
     @abc.abstractmethod
     def fetch(self) -> Iterator[Entity]:
         """Yield entities in delivery order."""
-
-
-@dataclass
-class CrawlPage:
-    """One synthetic web page with outgoing links."""
-
-    url: str
-    content: str
-    links: tuple[str, ...] = ()
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-
-class WebCrawler(Source):
-    """Breadth-first crawler over an in-memory site graph.
-
-    Honors per-host page budgets the way a polite crawler would; the
-    graph is a dict url → :class:`CrawlPage`.
-    """
-
-    name = "webcrawl"
-
-    def __init__(self, site: dict[str, CrawlPage], seeds: Iterable[str], max_pages: int = 10000):
-        if max_pages < 1:
-            raise ValueError("max_pages must be positive")
-        self._site = dict(site)
-        self._seeds = list(seeds)
-        self._max_pages = max_pages
-
-    def fetch(self) -> Iterator[Entity]:
-        visited: set[str] = set()
-        frontier = list(self._seeds)
-        count = 0
-        while frontier and count < self._max_pages:
-            url = frontier.pop(0)
-            if url in visited or url not in self._site:
-                continue
-            visited.add(url)
-            page = self._site[url]
-            metadata = {"url": url, "links": list(page.links), **page.metadata}
-            yield Entity(
-                entity_id=f"web:{url}",
-                content=page.content,
-                source=self.name,
-                metadata=metadata,
-            )
-            count += 1
-            frontier.extend(link for link in page.links if link not in visited)
 
 
 class NewsFeedIngestor(Source):

@@ -10,6 +10,7 @@ for a Lucene-ish surface syntax::
     "picture quality"                      # phrase
     year:[2003 TO 2005]                    # metadata range
     re:/NR\\d+/                            # regular expression over tokens
+    sentiment:+                            # conceptual token (layer:label)
 
 Evaluation lives in :mod:`repro.platform.indexer`; the AST nodes are plain
 data so they can be built programmatically too.
@@ -96,27 +97,6 @@ class Regex(Query):
             cached = re.compile(self.pattern, re.IGNORECASE)
             self.__dict__["_compiled"] = cached
         return cached
-
-
-@dataclass(frozen=True)
-class Near(Query):
-    """Spherical (geospatial) query: entities with a geo annotation
-    within ``radius_km`` of (``lat``, ``lon``).
-
-    Surface syntax: ``near:[48.86,2.35,500]``.
-    """
-
-    lat: float
-    lon: float
-    radius_km: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError("latitude must lie in [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError("longitude must lie in [-180, 180]")
-        if self.radius_km <= 0:
-            raise ValueError("radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -252,18 +232,6 @@ class _Parser:
         range_match = re.match(r"^([A-Za-z_][\w.]*):\[([^\]]*)\]$", token)
         if range_match:
             field, body = range_match.groups()
-            if field == "near":
-                parts = [p.strip() for p in body.split(",")]
-                if len(parts) != 3:
-                    raise QueryParseError(f"near query needs lat,lon,radius: {body!r}")
-                try:
-                    lat, lon, radius = (float(p) for p in parts)
-                except ValueError as exc:
-                    raise QueryParseError(f"non-numeric near bounds {body!r}") from exc
-                try:
-                    return Near(lat, lon, radius)
-                except ValueError as exc:
-                    raise QueryParseError(str(exc)) from exc
             parts = re.split(r"\s+TO\s+", body.strip())
             if len(parts) != 2:
                 raise QueryParseError(f"bad range body {body!r}")
@@ -306,8 +274,6 @@ def render_query(query: Query) -> str:
         return f"{query.field}:[{query.low!r} TO {query.high!r}]"
     if isinstance(query, Regex):
         return f"re:/{query.pattern}/"
-    if isinstance(query, Near):
-        return f"near:[{query.lat!r},{query.lon!r},{query.radius_km!r}]"
     if isinstance(query, Concept):
         if not query.label:
             raise ValueError("an empty-label Concept has no surface form")

@@ -382,7 +382,7 @@ class LiveIndexer:
     and runs background compaction on the simulated clock — all while
     the router keeps serving snapshot reads against pinned versions.
     Freshness (ingest-to-queryable, simulated time) is recorded per
-    batch in the ``ingest.freshness_lag`` histogram.
+    batch in the ``ingest.lag`` histogram.
     """
 
     def __init__(
@@ -399,10 +399,8 @@ class LiveIndexer:
         self._obs = obs if obs is not None else Obs.default()
         self._policy = policy or CompactionPolicy()
         self._wal = wal
-        self._lag = self._obs.metrics.histogram("ingest.freshness_lag")
-        self._ingest_lag = self._obs.metrics.histogram("ingest.lag")
+        self._lag = self._obs.metrics.histogram("ingest.lag")
         self._docs = self._obs.metrics.counter("ingest.documents_indexed")
-        self._compactions = self._obs.metrics.counter("segments.compactions")
         self._compaction_runs = self._obs.metrics.counter("compaction.runs")
         self._compaction_docs = self._obs.metrics.counter("compaction.merged_docs")
         self.batches_applied = 0
@@ -447,8 +445,7 @@ class LiveIndexer:
                 self._wal.seal(lsn)
             queryable_at = obs.clock.now
             lag = queryable_at - started_at
-            self._lag.observe(lag)
-            self._ingest_lag.observe(lag, trace_id=batch_span.trace_id)
+            self._lag.observe(lag, trace_id=batch_span.trace_id)
             self._docs.inc(segment.stats.documents)
             self.batches_applied += 1
             self.documents_indexed += segment.stats.documents
@@ -502,7 +499,6 @@ class LiveIndexer:
             )
         )
         if merged:
-            self._compactions.inc()
             self._compaction_runs.inc()
             self._compaction_docs.inc(rewritten)
         return merged

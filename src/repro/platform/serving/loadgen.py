@@ -25,10 +25,15 @@ from ...core import SentimentMiner, Subject
 from ...corpora import DOMAINS, ReviewGenerator
 from ...obs import Obs, SLOMonitor, replication_slo
 from ..api import validate_envelope
-from ..chaos import DEFAULT_RESTART_WINDOW, schedule_restarts
 from ..datastore import DataStore
 from ..entity import Entity
-from ..faults import FAIL, TIMEOUT, FaultPlan
+from ..faults import (
+    DEFAULT_RESTART_WINDOW,
+    FAIL,
+    TIMEOUT,
+    FaultPlan,
+    schedule_restarts,
+)
 from ..ingestion import DELTA_ADD, DocumentDelta
 from ..segments import DeltaIndexer, LiveIndexer
 from ..vinci import VinciBus
@@ -298,7 +303,7 @@ def build_scenario(
     node, ≥5% service fault rate" regime.
 
     With ``restarts=True`` on top of ``chaos_seed``, the dead node also
-    *comes back*: :func:`~repro.platform.chaos.schedule_restarts` draws
+    *comes back*: :func:`~repro.platform.faults.schedule_restarts` draws
     a seeded rejoin time, ingest batches go through a
     :class:`~repro.platform.wal.WriteAheadLog` before touching the
     index, and a :class:`~repro.platform.recovery.RecoveryManager`

@@ -5,11 +5,7 @@ import json
 import textwrap
 
 from repro.analysis import build_program, summarize_module
-from repro.analysis.program import (
-    content_digest,
-    module_dotted,
-    parse_and_summarize,
-)
+from repro.analysis.program import content_digest, module_dotted
 
 
 def summarize(modpath, source):
@@ -130,8 +126,13 @@ class TestModuleSummary:
     def test_parse_and_summarize_reads_from_disk(self, tmp_path):
         target = tmp_path / "demo.py"
         target.write_text("def fn(): ...\n", encoding="utf-8")
-        summary = parse_and_summarize(target, "repro/core/demo.py")
+        raw = target.read_bytes()
+        summary = summarize_module(
+            "repro/core/demo.py", str(target), ast.parse(raw), content_digest(raw)
+        )
         assert summary.modpath == "repro/core/demo.py"
+        assert summary.path == str(target)
+        assert summary.digest == content_digest(raw)
         assert "fn" in summary.functions
 
     def test_module_dotted(self):

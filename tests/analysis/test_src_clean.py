@@ -9,14 +9,25 @@ the linter fail.
 from pathlib import Path
 
 import repro
-from repro.analysis import Linter, Severity, build_linter, default_code_rules
+from repro.analysis import (
+    DeadSymbolRule,
+    Linter,
+    Severity,
+    build_linter,
+    default_code_rules,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = Path(repro.__file__).resolve().parent
 
+#: The callers that count for the guard below: everything but tests/.
+#: Examples count because they are the documented API and
+#: tests/test_examples.py runs them.
+NON_TEST_ROOTS = ("benchmarks", "perfbench", "examples")
 
-def lint_src():
-    linter = build_linter(REPO_ROOT / "lint-suppressions.json")
+
+def lint_src(linter=None):
+    linter = linter or build_linter(REPO_ROOT / "lint-suppressions.json")
     return linter.lint([SRC])
 
 
@@ -49,6 +60,29 @@ class TestSrcIsClean:
         report = lint_src()
         assert report.files_reanalyzed == 0
         assert report.files_checked > 80
+
+
+class TestSrcKeepsOnlyReachedCode:
+    """src/ ships no public definition that only tests reach.
+
+    ``repro lint`` counts tests/ as a caller, so a test-only API passes
+    it.  This guard runs DEAD001 again over the same program with only
+    the non-test roots.  Package re-exports are out of scope: they are
+    the packages' import surface, and many are reached only by tests.
+    """
+
+    def test_every_public_definition_is_reached_outside_tests(self):
+        linter = build_linter(REPO_ROOT / "lint-suppressions.json")
+        lint_src(linter)
+        rule = DeadSymbolRule(
+            reference_roots=tuple(str(REPO_ROOT / root) for root in NON_TEST_ROOTS)
+        )
+        unreached = [
+            finding
+            for finding in rule.check(linter.last_program)
+            if not finding.message.startswith("public re-export ")
+        ]
+        assert unreached == [], "\n" + "\n".join(f.render() for f in unreached)
 
 
 class TestViolationsAreCaught:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Subject
+from repro.core import Polarity, Subject
 from repro.core.context import ContextWindowRule
 from repro.core.disambiguation import Disambiguator, TopicTermSet
 from repro.core.miner import MiningResult, SentimentMiner
@@ -214,7 +214,7 @@ class TestAdapterPipelineMatchesMiner:
                 TokenizerMiner(),
                 SpotterMiner(subjects),
                 DisambiguatorMiner(Disambiguator(terms)),
-                SentimentEntityMiner(polar_only=True, obs=adapter_obs),
+                SentimentEntityMiner(obs=adapter_obs),
             ]
         )
         entities = [Entity(entity_id=doc_id, content=text) for doc_id, text in documents]
@@ -223,6 +223,7 @@ class TestAdapterPipelineMatchesMiner:
             (entity.entity_id, a.attribute("subject"), a.span.start, a.span.end, a.label)
             for entity in entities
             for a in entity.layer(SENTIMENT_LAYER)
+            if a.label != Polarity.NEUTRAL.value
         ]
 
         assert polar_tuples(mined.judgments)

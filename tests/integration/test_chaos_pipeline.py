@@ -34,8 +34,9 @@ from repro.platform import (
     FaultPlan,
     MinerPipeline,
     RetryPolicy,
-    chaos,
 )
+
+from tests.support import chaos
 
 pytestmark = pytest.mark.chaos
 

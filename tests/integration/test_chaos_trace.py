@@ -19,7 +19,9 @@ from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
 from repro.core import Subject
 from repro.miners import SentimentEntityMiner, SpotterMiner, TokenizerMiner
 from repro.obs import Obs, SLOMonitor, default_serving_slos, read_trace, render_span_tree
-from repro.platform import DataStore, Entity, MinerPipeline, chaos
+from repro.platform import DataStore, Entity, MinerPipeline
+
+from tests.support import chaos
 
 pytestmark = pytest.mark.chaos
 

@@ -9,8 +9,6 @@ import pytest
 from repro.core import Polarity, Subject
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
 from repro.miners import (
-    NamedEntityMiner,
-    OpenSentimentEntityMiner,
     PosTaggerMiner,
     SentimentEntityMiner,
     SpotterMiner,
@@ -123,26 +121,6 @@ class TestServices:
         for row in rows:
             assert subject.lower() in row["sentence"].lower()
             assert row["sentence"].endswith((".", "!", "?"))
-
-
-class TestModeBEndToEnd:
-    def test_open_pipeline_on_cluster(self):
-        reviews = ReviewGenerator(DIGITAL_CAMERA, seed=78).generate_dplus(6)
-        store = DataStore(num_partitions=4)
-        for d in reviews:
-            from repro.platform import Entity
-
-            store.store(Entity(entity_id=d.doc_id, content=d.text))
-        pipeline = MinerPipeline(
-            [TokenizerMiner(), PosTaggerMiner(), NamedEntityMiner(), OpenSentimentEntityMiner()]
-        )
-        Cluster(store, num_nodes=2).run_pipeline(pipeline)
-        sentiment_index = SentimentIndex()
-        for entity in store.scan():
-            sentiment_index.add_all(judgments_from(entity))
-        # Product names are discovered as named entities without a list.
-        discovered = set(sentiment_index.subjects())
-        assert any(p.lower() in discovered for p in DIGITAL_CAMERA.products)
 
 
 class TestDeterminism:

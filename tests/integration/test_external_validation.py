@@ -5,15 +5,12 @@ scientific stack available in the test environment to independently
 verify the statistics implementations.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import likelihood_ratio
-from repro.platform.indexer import haversine_km
 
 
 class TestLikelihoodRatioAgainstScipy:
@@ -52,22 +49,3 @@ class TestLikelihoodRatioAgainstScipy:
         for confidence, critical in CHI2_CRITICAL.items():
             assert critical == pytest.approx(chi2.ppf(confidence, df=1), abs=5e-3)
 
-
-class TestHaversineAgainstNumpy:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.floats(-89, 89), st.floats(-179, 179), st.floats(-89, 89), st.floats(-179, 179)
-    )
-    def test_matches_vectorised_formula(self, lat1, lon1, lat2, lon2):
-        phi1, phi2 = np.radians([lat1, lat2])
-        dphi = np.radians(lat2 - lat1)
-        dlam = np.radians(lon2 - lon1)
-        a = np.sin(dphi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2) ** 2
-        reference = float(2 * 6371.0 * np.arcsin(np.sqrt(a)))
-        assert haversine_km(lat1, lon1, lat2, lon2) == pytest.approx(reference, abs=1e-6)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(-89, 89), st.floats(-179, 179))
-    def test_triangle_inequality_through_origin(self, lat, lon):
-        direct = haversine_km(lat, lon, 0.0, 0.0)
-        assert direct <= math.pi * 6371.0 + 1e-6

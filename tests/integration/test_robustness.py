@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.core import SentimentMiner, Subject
 from repro.miners import (
-    NamedEntityMiner,
     PosTaggerMiner,
     SentimentEntityMiner,
     SpotterMiner,
@@ -56,7 +55,6 @@ class TestMinerNeverCrashes:
                 TokenizerMiner(),
                 PosTaggerMiner(),
                 SpotterMiner([Subject("camera")]),
-                NamedEntityMiner(),
                 SentimentEntityMiner(),
             ]
         )

@@ -28,12 +28,6 @@ class TestReconstruction:
         sentences = base.sentences_from(entity)
         assert [s.index for s in sentences] == [0, 1]
 
-    def test_tagged_sentences_default_tag(self):
-        # Without a pos layer, tokens default to NN rather than crashing.
-        entity = entity_with_layers()
-        tagged = base.tagged_sentences_from(entity)
-        assert all(t.tag == "NN" for sentence in tagged for t in sentence)
-
     def test_spots_from_uses_subject_mapping(self):
         entity = entity_with_layers()
         start = TEXT.index("camera")

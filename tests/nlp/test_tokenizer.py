@@ -5,7 +5,7 @@ import string
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nlp.tokenizer import Tokenizer, tokenize
+from repro.nlp.tokenizer import tokenize
 
 
 def words(text):
@@ -64,10 +64,6 @@ class TestAbbreviations:
 
     def test_regular_word_loses_period(self):
         assert words("It works.") == ["It", "works", "."]
-
-    def test_custom_abbreviation(self):
-        tk = Tokenizer(extra_abbreviations={"approx.", "config."})
-        assert [t.text for t in tk.tokenize("config. file")] == ["config.", "file"]
 
 
 class TestNumbersAndCompounds:

@@ -26,7 +26,7 @@ from repro.platform.ingestion import (
     DELTA_UPDATE,
     DocumentDelta,
 )
-from repro.platform.query import Concept, Near, Not, Range
+from repro.platform.query import Concept, Not, Range
 from repro.platform.serving import LoadProfile, ReplicatedIndex, build_scenario
 
 pytestmark = pytest.mark.incremental
@@ -51,16 +51,16 @@ QUERIES = (
     Concept("spot"),
     Concept("spot", "g3"),
     Range("rank", 1.0, 3.0),
-    Near(48.86, 2.35, 50.0),
+    Concept("geo", "paris"),
     Not(Concept("geo")),
 )
 
-#: Per-template concept label and geo point (None: no geo annotation).
+#: Per-template spot label and city (None: no ``geo`` annotation).
 ANNOTATIONS = (
-    ("nr70", (48.86, 2.35)),
+    ("nr70", "paris"),
     ("nr70", None),
-    ("g3", (40.71, -74.01)),
-    ("g3", (48.85, 2.29)),
+    ("g3", "new-york"),
+    ("g3", "paris"),
     ("nr70", None),
 )
 
@@ -68,8 +68,8 @@ ANNOTATIONS = (
 def make_entity(doc_id, template_index):
     """One document version: template text, a numeric rank and concepts.
 
-    Concept, metadata and location postings must survive sealing,
-    absorbing and compaction exactly as text postings do.
+    Concept and metadata postings must survive sealing, absorbing and
+    compaction exactly as text postings do.
     """
     content = TEMPLATES[template_index]
     entity = Entity(
@@ -77,10 +77,10 @@ def make_entity(doc_id, template_index):
         content=content,
         metadata={"rank": template_index, "lang": "en"},
     )
-    label, place = ANNOTATIONS[template_index]
+    label, city = ANNOTATIONS[template_index]
     entity.annotate(Annotation.make("spot", 4, 8, label))
-    if place is not None:
-        entity.annotate(Annotation.make("geo", 0, 3, "city", lat=place[0], lon=place[1]))
+    if city is not None:
+        entity.annotate(Annotation.make("geo", 0, 3, city))
     return entity
 
 

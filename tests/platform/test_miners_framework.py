@@ -9,7 +9,6 @@ from repro.core.mining import (
     EntityMiner,
     MinerPipeline,
     PipelineError,
-    run_corpus_miner,
 )
 
 
@@ -115,11 +114,19 @@ class TestPipelineExecution:
         assert a.miner_runs == {"m": 3, "n": 3}
 
 
+def map_reduce(miner, store):
+    """Map each partition, then reduce: the hooks the cluster schedules."""
+    partials = [
+        miner.map_partition(store.partition(i).scan()) for i in range(store.num_partitions)
+    ]
+    return miner.reduce(partials)
+
+
 class TestCorpusMiner:
     def test_map_reduce_over_store(self):
         store = store_with(10)
-        total = run_corpus_miner(WordCounter(), store)
+        total = map_reduce(WordCounter(), store)
         assert total == 30  # "Doc Number i" = 3 words each
 
     def test_empty_store(self):
-        assert run_corpus_miner(WordCounter(), DataStore(num_partitions=2)) == 0
+        assert map_reduce(WordCounter(), DataStore(num_partitions=2)) == 0

@@ -104,6 +104,12 @@ class TestErrors:
         with pytest.raises(QueryParseError):
             parse_query('""')
 
+    def test_bracketed_body_is_always_a_range(self):
+        # There is no spherical query: ``near:[lat,lon,radius]`` is read
+        # as a range over a ``near`` field and refused for its body.
+        with pytest.raises(QueryParseError, match="bad range body"):
+            parse_query("near:[48.86,2.35,50]")
+
 
 class TestLexerHardening:
     def test_unclosed_quote_rejected(self):

@@ -166,6 +166,7 @@ MALFORMED = [
     ("search", {}, "bad_request"),
     ("search", {"q": 7}, "bad_request"),
     ("search", {"q": "(broken"}, "bad_request"),
+    ("search", {"q": "near:[48.86,2.35,50]"}, "bad_request"),
 ]
 
 

@@ -1,9 +1,9 @@
 """Property tests: ``parse_query`` round-trips ASTs through ``render_query``.
 
 Strategies generate ASTs over alphabets the surface syntax can actually
-express (no quotes inside phrases, no slashes inside regex bodies, no
-``near`` as a range field) and assert ``parse(render(q)) == q`` — the
-documented contract of :func:`repro.platform.query.render_query`.
+express (no quotes inside phrases, no slashes inside regex bodies) and
+assert ``parse(render(q)) == q`` — the documented contract of
+:func:`repro.platform.query.render_query`.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.platform.query import (
     And,
     Concept,
-    Near,
     Not,
     Or,
     Phrase,
@@ -47,21 +46,15 @@ terms = tokens.map(Term)
 phrases = st.lists(tokens, min_size=2, max_size=4).map(lambda ws: Phrase(tuple(ws)))
 ranges = st.builds(
     lambda field, a, b: Range(field, min(a, b), max(a, b)),
-    idents.filter(lambda f: f != "near"),
+    idents,
     finite,
     finite,
 )
 #: Regex bodies stick to literals the lexer token can carry (no ``/``).
 regexes = st.text(alphabet=_WORD + ".", min_size=1, max_size=8).map(Regex)
-nears = st.builds(
-    Near,
-    st.floats(min_value=-90.0, max_value=90.0),
-    st.floats(min_value=-180.0, max_value=180.0),
-    st.floats(min_value=0.001, max_value=20000.0),
-)
 concepts = st.builds(Concept, idents, st.text(alphabet=_WORD, min_size=1, max_size=6))
 
-leaves = st.one_of(terms, phrases, ranges, regexes, nears, concepts)
+leaves = st.one_of(terms, phrases, ranges, regexes, concepts)
 queries = st.recursive(
     leaves,
     lambda inner: st.one_of(

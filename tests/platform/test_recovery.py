@@ -19,9 +19,8 @@ from repro.obs import (
     render_health,
     replication_slo,
 )
-from repro.platform.chaos import DEFAULT_RESTART_WINDOW, schedule_restarts
 from repro.platform.entity import Entity
-from repro.platform.faults import FaultPlan
+from repro.platform.faults import DEFAULT_RESTART_WINDOW, FaultPlan, schedule_restarts
 from repro.platform.ingestion import DELTA_ADD, DocumentDelta
 from repro.platform.recovery import (
     AUDIT_KIND_RECOVERY,

@@ -7,8 +7,8 @@ against the run report.  Because every fault comes from the seed, a
 violated invariant is a reproducible test failure — rerun with the same
 seed and watch it happen again.
 
-The invariants (ROADMAP: graceful degradation must never silently
-corrupt aggregate counts):
+The invariants (graceful degradation must never silently corrupt
+aggregate counts):
 
 * **no lost entities under replication** — with R ≥ 2 and at most one
   dead node, ``coverage == 1.0`` and ``degraded`` is False;
@@ -24,7 +24,7 @@ corrupt aggregate counts):
 
 Use from pytest::
 
-    from repro.platform import chaos
+    from tests.support import chaos
 
     outcome = chaos.run_corpus_chaos(make_store, miner_factory, seed=7,
                                      num_nodes=4, replication=2)
@@ -33,16 +33,15 @@ Use from pytest::
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, TypeVar
 
-from ..obs import Obs
-from .cluster import Cluster, ClusterRunReport
-from .datastore import DataStore
-from .faults import FaultPlan
-from ..core.mining import CorpusMiner, MinerPipeline
-from .retry import RetryPolicy
+from repro.core.mining import CorpusMiner, MinerPipeline
+from repro.obs import Obs
+from repro.platform.cluster import Cluster, ClusterRunReport
+from repro.platform.datastore import DataStore
+from repro.platform.faults import FaultPlan
+from repro.platform.retry import RetryPolicy
 
 T = TypeVar("T")
 
@@ -51,38 +50,6 @@ _EPS = 1e-9
 #: Default retry policy for chaos runs: deterministic (no jitter) so
 #: work accounting is reproducible across identical seeds.
 DEFAULT_CHAOS_RETRY = RetryPolicy(max_attempts=4, base_backoff=0.1, multiplier=2.0)
-
-#: Default simulated-time window in which a killed node rejoins.
-DEFAULT_RESTART_WINDOW = (4.0, 12.0)
-
-#: Seed salt so restart draws are independent of however many draws the
-#: plan's own RNG made while scheduling deaths and service faults.
-_RESTART_SALT = 0x5BD1E995
-
-
-def schedule_restarts(
-    plan: FaultPlan,
-    *,
-    window: tuple[float, float] = DEFAULT_RESTART_WINDOW,
-) -> dict[int, float]:
-    """Attach seeded rejoin times to a plan's scheduled node deaths.
-
-    Every dead node gets a restart drawn uniformly
-    from *window* using ``random.Random(plan.seed ^ salt)`` — a fresh
-    generator, so the rejoin times depend only on the seed and the
-    sorted node order, never on how many draws built the rest of the
-    plan.  Returns ``{node_id: rejoin_time}`` for reports and tests.
-    """
-    lo, hi = window
-    if not 0.0 <= lo <= hi:
-        raise ValueError(f"restart window must satisfy 0 <= lo <= hi, got {window}")
-    rng = random.Random(plan.seed ^ _RESTART_SALT)
-    times: dict[int, float] = {}
-    for node_id in sorted(plan.dead_nodes):
-        at = lo + (hi - lo) * rng.random()
-        plan.restart_node(node_id, after_cost=at)
-        times[node_id] = at
-    return times
 
 
 @dataclass

@@ -16,10 +16,7 @@ the reference path:
   parsed from scratch;
 * :func:`reference_miner` — a mode-A :class:`SentimentMiner` wired to
   both of the above; drive it with ``mine_corpus`` for the full
-  reference run;
-* :func:`reference_open_judgments` — the historical Mode B loop, one
-  sentence at a time: spot named entities, skip sentences that bear no
-  sentiment, judge the rest.
+  reference run.
 
 :class:`SentimentMiner` has one engine for both modes, so the
 reference miner runs the same stage loop as the production one.  Its
@@ -34,9 +31,9 @@ from __future__ import annotations
 from repro.core.analyzer import SentimentAnalyzer
 from repro.core.disambiguation import Disambiguator
 from repro.core.miner import SentimentMiner
-from repro.core.model import SentimentJudgment, Spot, Subject
-from repro.core.spotting import NamedEntitySpotter, TermCollision, compile_terms
-from repro.nlp.tokens import Sentence, Span, TaggedSentence, Token
+from repro.core.model import Spot, Subject
+from repro.core.spotting import TermCollision, compile_terms
+from repro.nlp.tokens import Sentence, Span, Token
 from repro.obs import Obs
 
 
@@ -126,16 +123,3 @@ def reference_miner(
         spotter=ReferenceSubjectSpotter(subjects),
     )
 
-
-def reference_open_judgments(
-    analyzer: SentimentAnalyzer, tagged_sentences: list[TaggedSentence], document_id: str = ""
-) -> list[SentimentJudgment]:
-    """Mode B over already-tagged sentences, kept verbatim as the oracle."""
-    spotter = NamedEntitySpotter()
-    judgments: list[SentimentJudgment] = []
-    for tagged in tagged_sentences:
-        spots = spotter.spot_sentence(tagged, document_id)
-        if not spots or not analyzer.bears_sentiment(tagged):
-            continue
-        judgments.extend(analyzer.judge_spots(tagged, spots))
-    return judgments
