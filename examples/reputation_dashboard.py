@@ -5,10 +5,11 @@ Run:  python examples/reputation_dashboard.py
 
 Reproduces the paper's proof-of-concept application end to end:
 synthetic camera reviews are ingested into the partitioned data store,
-the Figure-2 miner pipeline (tokenizer → tagger → spotter → sentiment
-miner) runs on the simulated cluster, indices are built, and the
-Figure-4/Figure-5 views render — including the masked product names the
-paper's screenshots show.
+the Figure-2 sentiment miner (spotter → sentiment analyzer, one
+``SentimentMiner`` call per entity) runs on the simulated cluster and
+stores each entity's spots and their sentiment, indices are built, and
+the Figure-4/Figure-5 views render — including the masked product names
+the paper's screenshots show.
 """
 
 from repro.apps import ReputationManager

@@ -5,7 +5,7 @@ Subpackages
 ``repro.nlp``       — tokenizer, POS tagger, chunker, shallow parser
 ``repro.lexicons``  — sentiment word lists, negators, predicate patterns
 ``repro.core``      — the sentiment miner (analysis, features, spotting)
-``repro.miners``    — WebFountain adapter miners
+``repro.miners``    — the sentiment and statistics miners the cluster runs
 ``repro.platform``  — data store, indexer, cluster, Vinci bus, services
 ``repro.baselines`` — collocation and ReviewSeer-like comparators
 ``repro.corpora``   — synthetic datasets with ground truth

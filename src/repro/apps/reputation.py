@@ -6,9 +6,11 @@ corporate customers, including analysis on their corporate and product
 reputation, and tracking of market trends."
 
 The application owns a full platform stack: it ingests documents, runs
-the mode-A miner pipeline on the simulated cluster, builds the text and
-sentiment indices, registers the hosted services, and renders the two
-GUI views of Figures 4 and 5:
+the mode-A sentiment miner (spotter → optional disambiguator → sentiment
+analyzer) on the simulated cluster as one entity miner, which stores
+each entity's spots and their sentiment, rebuilds the text and sentiment
+indices from the stored entities, registers the hosted services, and
+renders the two GUI views of Figures 4 and 5:
 
 * a per-product sentiment summary (Figure 4's masked product list);
 * a sentiment-bearing sentence listing per subject (Figure 5).
@@ -25,16 +27,10 @@ from typing import Iterable
 
 from ..core.analyzer import SentimentAnalyzer
 from ..core.disambiguation import Disambiguator
+from ..core.miner import SentimentMiner
 from ..core.mining import MinerPipeline
 from ..core.model import Polarity, Subject
-from ..miners import (
-    DisambiguatorMiner,
-    PosTaggerMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-    judgments_from,
-)
+from ..miners import SentimentEntityMiner, judgments_from
 from ..platform.cluster import Cluster
 from ..platform.datastore import DataStore
 from ..platform.entity import Entity
@@ -139,16 +135,11 @@ class ReputationManager:
         return added
 
     def build(self) -> None:
-        """Run the Figure-2 pipeline on the cluster and build indices."""
-        miners = [
-            TokenizerMiner(),
-            PosTaggerMiner(self._analyzer.tagger),
-            SpotterMiner(self._subjects),
-        ]
-        if self._disambiguator is not None:
-            miners.append(DisambiguatorMiner(self._disambiguator))
-        miners.append(SentimentEntityMiner(self._analyzer))
-        pipeline = MinerPipeline(miners)
+        """Mine every entity on the cluster (Figure 2) and build indices."""
+        miner = SentimentMiner(
+            self._subjects, analyzer=self._analyzer, disambiguator=self._disambiguator
+        )
+        pipeline = MinerPipeline([SentimentEntityMiner(miner)])
         cluster = Cluster(self._store, num_nodes=self._num_nodes, bus=self._bus)
         cluster.run_pipeline(pipeline)
         self._index = InvertedIndex()

@@ -463,12 +463,8 @@ def cmd_platform(args: argparse.Namespace, out: IO[str]) -> int:
     """Run the simulated cluster end-to-end, optionally under chaos."""
     from .corpora import DOMAINS, ReviewGenerator
     from .eval.reporting import format_table
-    from .miners import (
-        PosTaggerMiner,
-        SentimentEntityMiner,
-        SpotterMiner,
-        TokenizerMiner,
-    )
+    from .core import SentimentMiner
+    from .miners import SentimentEntityMiner
     from .platform import (
         Cluster,
         DataStore,
@@ -498,14 +494,7 @@ def cmd_platform(args: argparse.Namespace, out: IO[str]) -> int:
 
     obs = _obs_from_args(args)
     subjects = [Subject(p) for p in vocab.products] + [Subject(f) for f in vocab.features]
-    pipeline = MinerPipeline(
-        [
-            TokenizerMiner(),
-            PosTaggerMiner(),
-            SpotterMiner(subjects),
-            SentimentEntityMiner(obs=obs),
-        ]
-    )
+    pipeline = MinerPipeline([SentimentEntityMiner(SentimentMiner(subjects, obs=obs))])
     cluster = Cluster(
         store,
         num_nodes=args.nodes,

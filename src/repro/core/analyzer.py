@@ -147,10 +147,6 @@ class SentimentAnalyzer:
         return self._lexicon
 
     @property
-    def tagger(self) -> PosTagger:
-        return self._tagger
-
-    @property
     def parse_memo(self) -> ParseMemo:
         return self._parse_memo
 
@@ -285,11 +281,10 @@ class SentimentAnalyzer:
     ) -> list[tuple[SentimentJudgment, bool]]:
         """Judge every spot against its own sentence, in sentence order.
 
-        Sentences are looked up by :attr:`Sentence.index`, so *sentences*
-        may be a splitter's full list or the sentences an entity's
-        annotation layers rebuild; spots whose sentence is absent are
-        skipped.  Each judgment is paired with whether it inherited its
-        polarity through the context *rule*'s window.
+        *sentences* is the splitter's list the *spots* were found in;
+        each spot's sentence is looked up by :attr:`Sentence.index`.
+        Each judgment is paired with whether it inherited its polarity
+        through the context *rule*'s window.
         """
         by_index = {sentence.index: sentence for sentence in sentences}
         spots_by_sentence: dict[int, list[Spot]] = {}
@@ -297,10 +292,7 @@ class SentimentAnalyzer:
             spots_by_sentence.setdefault(spot.sentence_index, []).append(spot)
         judged: list[tuple[SentimentJudgment, bool]] = []
         for index, sentence_spots in sorted(spots_by_sentence.items()):
-            sentence = by_index.get(index)
-            if sentence is None:
-                continue
-            judgments = self.judge_spots(self.tag(sentence), sentence_spots)
+            judgments = self.judge_spots(self.tag(by_index[index]), sentence_spots)
             judged.extend(self._widen_with_context(by_index, index, judgments, rule))
         return judged
 
@@ -553,8 +545,8 @@ class SentimentAnalyzer:
         Mode B's filter and analyzer: a sentence with no spot, or with
         no sentiment term, is skipped wholesale.  Spots are matched to
         sentences by :attr:`TaggedSentence.index`, and judged on the
-        tags they come with, so the platform adapter keeps its entity's
-        POS-layer tags.
+        tags they come with, so each sentence is tagged once for both
+        spotting and judging.
         """
         spots_by_sentence: dict[int, list[Spot]] = {}
         for spot in spots:

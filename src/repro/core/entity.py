@@ -6,11 +6,12 @@ as a Web page.  The data store stores, modifies, and retrieves entities."
 
 An entity carries immutable raw content plus typed, append-only
 *annotation layers*.  Miners never mutate the content; they "augment
-processed entities with the results" by attaching annotations — token
-spans, POS tags, subject spots, sentiment judgments, conceptual tokens.
+processed entities with the results" by attaching annotations — the
+sentiment miner stores each judged subject spot and its polarity, which
+the indexer serves as conceptual tokens.
 
 This module lives in :mod:`repro.core` (not :mod:`repro.platform`) because
-entities are the shared vocabulary between the adapter miners and the
+entities are the shared vocabulary between the miners and the
 platform: miners annotate entities, the platform stores and routes them.
 Keeping the type here preserves the import layering
 ``lexicons/nlp → core/miners → platform → cli`` that ``repro lint``
@@ -31,10 +32,10 @@ from ..nlp.tokens import Span
 class Annotation:
     """One typed annotation over a span of the entity's content.
 
-    ``layer`` groups annotations ("token", "sentence", "spot", "sentiment",
-    ...); ``label`` is the annotation's value within its layer (a POS tag,
-    a subject id, a polarity symbol); ``attributes`` carries layer-specific
-    extras (kept JSON-serialisable).
+    ``layer`` groups annotations ("spot", "sentiment", ...); ``label`` is
+    the annotation's value within its layer (a subject name, a polarity
+    symbol); ``attributes`` carries layer-specific extras (kept
+    JSON-serialisable).
     """
 
     layer: str

@@ -8,7 +8,7 @@ miners require all or part of the entire data in store."
 
 A :class:`MinerPipeline` runs an ordered chain of entity miners over the
 data store, validating layer dependencies (a miner declaring
-``requires = ("token",)`` cannot run before something ``provides`` it).
+``requires = ("spot",)`` cannot run before something ``provides`` it).
 Corpus miners implement map/reduce-style hooks so the simulated cluster
 can execute them per-partition and merge.
 

@@ -1,29 +1,48 @@
 """The sentiment miner as a platform entity miner.
 
-:class:`SentimentEntityMiner` is mode A's adapter: it reads the ``spot``
-layer and writes ``sentiment`` annotations.  Mode B (open subjects) runs
-through :class:`~repro.core.miner.SentimentMiner` given no subject list.
+:class:`SentimentEntityMiner` runs a :class:`~repro.core.miner.SentimentMiner`
+over one entity — the paper's Fig. 2 spotter → disambiguator → sentiment
+analyzer — and "augments processed entities with the results" as two
+annotation layers:
 
-Sentiment annotations span the *spot* and carry polarity in ``label``
-plus provenance in attributes, so the indexer can turn them into
-conceptual tokens and the :class:`~repro.platform.indexer.SentimentIndex`
-can be rebuilt from stored entities alone.
+* ``spot``      — one annotation per judged subject occurrence (label =
+  canonical subject name, ``sentence`` attribute = sentence index);
+* ``sentiment`` — one annotation per judgment over the same span (label
+  = polarity symbol; attributes carry the subject and pattern provenance).
+
+The indexer turns both into conceptual tokens (``spot:Canon``,
+``sentiment:+``), and :func:`judgments_from` rebuilds judgments from a
+stored entity alone, so the :class:`~repro.platform.indexer.SentimentIndex`
+can be rebuilt without re-mining.
 """
 
 from __future__ import annotations
 
-from ..core.analyzer import SentimentAnalyzer, audit_judgment
-from ..core.model import Polarity, SentimentJudgment, Spot, Subject
-from ..obs import Obs
 from ..core.entity import Annotation, Entity
+from ..core.miner import SentimentMiner
 from ..core.mining import EntityMiner
-from . import base
+from ..core.model import Polarity, SentimentJudgment, Spot, Subject
+
+SPOT_LAYER = "spot"
+SENTIMENT_LAYER = "sentiment"
+
+
+def _annotate_spot(entity: Entity, spot: Spot) -> None:
+    entity.annotate(
+        Annotation.make(
+            SPOT_LAYER,
+            spot.start,
+            spot.end,
+            label=spot.subject.canonical,
+            sentence=spot.sentence_index,
+        )
+    )
 
 
 def _annotate_judgment(entity: Entity, judgment: SentimentJudgment) -> None:
     entity.annotate(
         Annotation.make(
-            base.SENTIMENT_LAYER,
+            SENTIMENT_LAYER,
             judgment.spot.start,
             judgment.spot.end,
             label=judgment.polarity.value,
@@ -38,7 +57,7 @@ def _annotate_judgment(entity: Entity, judgment: SentimentJudgment) -> None:
 def judgments_from(entity: Entity) -> list[SentimentJudgment]:
     """Rebuild judgments from a stored entity's ``sentiment`` layer."""
     judgments: list[SentimentJudgment] = []
-    for annotation in entity.layer(base.SENTIMENT_LAYER):
+    for annotation in entity.layer(SENTIMENT_LAYER):
         subject = Subject(annotation.attribute("subject", entity.text_of(annotation)))
         spot = Spot(
             subject=subject,
@@ -54,30 +73,21 @@ def judgments_from(entity: Entity) -> list[SentimentJudgment]:
 
 
 class SentimentEntityMiner(EntityMiner):
-    """Mode A: judge every spotted subject occurrence."""
+    """Mine one entity and store its judged spots and their sentiment."""
 
     name = "sentiment-miner"
-    requires = (base.TOKEN_LAYER, base.SENTENCE_LAYER, base.SPOT_LAYER)
-    provides = (base.SENTIMENT_LAYER,)
+    requires = ()
+    provides = (SPOT_LAYER, SENTIMENT_LAYER)
 
-    def __init__(
-        self,
-        analyzer: SentimentAnalyzer | None = None,
-        obs: Obs | None = None,
-    ):
-        self._obs = obs if obs is not None else Obs.default()
-        self._analyzer = analyzer or SentimentAnalyzer(obs=self._obs)
-
-    @property
-    def analyzer(self) -> SentimentAnalyzer:
-        return self._analyzer
+    def __init__(self, miner: SentimentMiner):
+        self._miner = miner
 
     def process(self, entity: Entity) -> None:
-        entity.clear_layer(base.SENTIMENT_LAYER)
-        judged = self._analyzer.judge_spotted(
-            base.sentences_from(entity), base.spots_from(entity)
-        )
-        for judgment, inherited in judged:
-            audit_judgment(self._obs.audit, judgment, inherited)
+        # Clearing first keeps a re-run (say, after a failover) idempotent.
+        entity.clear_layer(SPOT_LAYER)
+        entity.clear_layer(SENTIMENT_LAYER)
+        judgments = self._miner.mine_document(entity.content, entity.entity_id).judgments
+        for judgment in judgments:
+            _annotate_spot(entity, judgment.spot)
+        for judgment in judgments:
             _annotate_judgment(entity, judgment)
-

@@ -18,6 +18,7 @@ Hypothesis.
 from __future__ import annotations
 
 import re
+from typing import ClassVar
 
 from .tokens import Token, _token
 
@@ -86,20 +87,20 @@ class Tokenizer:
     """Deterministic rule-based tokenizer.
 
     How a regex match splits into tokens depends only on the matched
-    string, so each instance keeps a table from match to its split: one
-    ``(piece, offset, length, lower)`` per token, with the offset
-    relative to the match start, plus the lowercased pieces alone, which
-    :meth:`terms` reads.  Prose repeats a small vocabulary, so almost
-    every match is split once, and :meth:`tokenize` builds each token
-    straight from its entry, without re-checking the span or re-lowering
-    the text.
+    string, so the class keeps one table, shared by every instance, from
+    match to its split: one ``(piece, offset, length, lower)`` per token,
+    with the offset relative to the match start, plus the lowercased
+    pieces alone, which :meth:`terms` reads.  Prose repeats a small
+    vocabulary, so almost every match is split once per process, whichever
+    instance (the analyzer's, the indexer's) meets it first, and
+    :meth:`tokenize` builds each token straight from its entry, without
+    re-checking the span or re-lowering the text.
     """
 
     #: Split-table bound; the table is cleared wholesale when it fills.
     _SPLIT_TABLE_MAX = 16384
-
-    def __init__(self):
-        self._splits: dict[str, _SplitEntry] = {}
+    #: The split table every instance reads and fills.
+    _splits: ClassVar[dict[str, _SplitEntry]] = {}
 
     # -- public API ---------------------------------------------------------
 

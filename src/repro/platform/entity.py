@@ -1,7 +1,7 @@
 """Backward-compatible re-export of the entity model.
 
 The :class:`Entity`/:class:`Annotation` types moved to
-:mod:`repro.core.entity` so the adapter miners (``repro.miners``) can
+:mod:`repro.core.entity` so the miners (``repro.miners``) can
 depend on them without importing the platform layer — preserving the
 ``lexicons/nlp → core/miners → platform → cli`` import DAG enforced by
 ``repro lint``.  The platform keeps this module as its public path for

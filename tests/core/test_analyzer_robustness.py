@@ -13,13 +13,9 @@ punctuation-only text, reversed text, and mid-token truncations (see
 import pytest
 
 from repro.core.analyzer import SentimentAnalyzer
+from repro.core.miner import SentimentMiner
 from repro.core.model import Polarity, Subject
-from repro.miners import (
-    PosTaggerMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-)
+from repro.miners import SentimentEntityMiner
 from repro.platform import Entity, FaultPlan, MinerPipeline
 
 pytestmark = pytest.mark.chaos
@@ -99,17 +95,10 @@ class TestDegenerateInputs:
 
 
 class TestCorruptedEntitiesThroughPipeline:
-    """Every FaultPlan corruption mode flows through the full miner chain."""
+    """Every FaultPlan corruption mode flows through the cluster's miner."""
 
     def _pipeline(self):
-        return MinerPipeline(
-            [
-                TokenizerMiner(),
-                PosTaggerMiner(),
-                SpotterMiner([Subject("camera")]),
-                SentimentEntityMiner(),
-            ]
-        )
+        return MinerPipeline([SentimentEntityMiner(SentimentMiner([Subject("camera")]))])
 
     def test_all_corruption_modes_processable(self):
         plan = FaultPlan(seed=1)

@@ -3,12 +3,12 @@
 Every batched entry point on the hot path — the miner's ``mine_batch``
 and the platform pipeline's ``process_batch`` — is asserted
 byte-identical to its unbatched counterpart, document by document and
-annotation by annotation, whatever the batch boundaries.  The adapter
-chain the cluster runs must judge polar spots exactly as the miner
-does.  The chaos-marked test goes further: a replicated cluster running
-the *batched* pipeline under a seeded node death must leave exactly the
-same per-entity sentiment annotations as a fault-free, entity-at-a-time
-baseline.
+annotation by annotation, whatever the batch boundaries.  The entity
+miner the cluster runs must store exactly the judgments ``mine_document``
+gives, even under a seeded node death.  The chaos-marked test goes
+further: a replicated cluster running the *batched* pipeline under a
+seeded node death must leave exactly the same per-entity sentiment
+annotations as a fault-free, entity-at-a-time baseline.
 """
 
 import functools
@@ -22,13 +22,8 @@ from repro.core.context import ContextWindowRule
 from repro.core.disambiguation import Disambiguator, TopicTermSet
 from repro.core.miner import MiningResult, SentimentMiner
 from repro.corpora import DIGITAL_CAMERA, PETROLEUM, ReviewGenerator, WebPageGenerator
-from repro.miners import (
-    DisambiguatorMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-)
-from repro.miners.base import SENTIMENT_LAYER
+from repro.miners import SentimentEntityMiner, judgments_from
+from repro.miners.sentiment_miner import SENTIMENT_LAYER, SPOT_LAYER
 from repro.obs import Obs
 from repro.obs.audit import CONTEXT_WINDOW, SENTIMENT
 from repro.platform import Cluster, DataStore, Entity, FaultPlan, MinerPipeline
@@ -183,8 +178,9 @@ def polar_audit(audit) -> list[dict]:
     ]
 
 
+@pytest.mark.chaos
 class TestAdapterPipelineMatchesMiner:
-    """The cluster's adapter chain and the miner judge the same way."""
+    """Under a node death, the cluster's entity miner stores what the miner judges."""
 
     @pytest.mark.parametrize(
         "documents, subjects, on_topic",
@@ -204,45 +200,71 @@ class TestAdapterPipelineMatchesMiner:
     )
     def test_polar_output_and_audit_match_mine_corpus(self, documents, subjects, on_topic):
         terms = TopicTermSet.build(on_topic=on_topic)
-        miner_obs, adapter_obs = Obs.enabled(), Obs.enabled()
+        miner_obs, cluster_obs = Obs.enabled(), Obs.enabled()
         mined = SentimentMiner(
             subjects=subjects, disambiguator=Disambiguator(terms), obs=miner_obs
         ).mine_corpus(documents)
+        judged: dict[str, list] = {doc_id: [] for doc_id, _ in documents}
+        for judgment in mined.judgments:
+            judged[judgment.spot.document_id].append(judgment)
 
-        pipeline = MinerPipeline(
-            [
-                TokenizerMiner(),
-                SpotterMiner(subjects),
-                DisambiguatorMiner(Disambiguator(terms)),
-                SentimentEntityMiner(obs=adapter_obs),
-            ]
+        store = DataStore(num_partitions=PARTITIONS)
+        store.store_all(Entity(entity_id=doc_id, content=text) for doc_id, text in documents)
+        miner = SentimentMiner(
+            subjects=subjects, disambiguator=Disambiguator(terms), obs=cluster_obs
         )
-        entities = [Entity(entity_id=doc_id, content=text) for doc_id, text in documents]
-        pipeline.process_batch(entities)
-        adapted = [
-            (entity.entity_id, a.attribute("subject"), a.span.start, a.span.end, a.label)
-            for entity in entities
-            for a in entity.layer(SENTIMENT_LAYER)
-            if a.label != Polarity.NEUTRAL.value
-        ]
+        plan = FaultPlan(seed=17).kill_node(2, after_partitions=1)
+        report = Cluster(
+            store, num_nodes=NODES, replication=2, fault_plan=plan
+        ).run_pipeline(MinerPipeline([SentimentEntityMiner(miner)]))
+        assert report.coverage == 1.0 and report.failovers > 0
+
+        for doc_id, judgments in judged.items():
+            entity = store.get(doc_id)
+            assert [
+                (a.span, a.label, a.attribute("sentence")) for a in entity.layer(SPOT_LAYER)
+            ] == [(j.spot.span, j.subject_name, j.spot.sentence_index) for j in judgments]
+            assert [
+                (
+                    a.span,
+                    a.label,
+                    a.attribute("subject"),
+                    a.attribute("pattern"),
+                    a.attribute("predicate"),
+                    a.attribute("negated"),
+                )
+                for a in entity.layer(SENTIMENT_LAYER)
+            ] == [
+                (
+                    j.spot.span,
+                    j.polarity.value,
+                    j.subject_name,
+                    j.provenance.pattern,
+                    j.provenance.predicate,
+                    j.provenance.negated,
+                )
+                for j in judgments
+            ]
+            assert polar_tuples(judgments_from(entity)) == polar_tuples(judgments)
 
         assert polar_tuples(mined.judgments)
-        assert adapted == polar_tuples(mined.judgments)
-        assert polar_audit(adapter_obs.audit) == polar_audit(mined.audit)
+        # The cluster visits partitions, not documents, in order; each
+        # entity is judged once, so the audits hold the same records.
+        assert sorted_records(polar_audit(cluster_obs.audit)) == sorted_records(
+            polar_audit(mined.audit)
+        )
+
+
+def sorted_records(records: list[dict]) -> list[str]:
+    return sorted(map(repr, records))
 
 
 def sentiment_pipeline() -> MinerPipeline:
     terms = TopicTermSet.build(
         on_topic=list(DIGITAL_CAMERA.features) + ["camera", "photo", "picture"]
     )
-    return MinerPipeline(
-        [
-            TokenizerMiner(),
-            SpotterMiner(camera_subjects()),
-            DisambiguatorMiner(Disambiguator(terms)),
-            SentimentEntityMiner(),
-        ]
-    )
+    miner = SentimentMiner(camera_subjects(), disambiguator=Disambiguator(terms))
+    return MinerPipeline([SentimentEntityMiner(miner)])
 
 
 def make_store() -> DataStore:

@@ -16,17 +16,11 @@ import json
 
 import pytest
 
-from repro.core import Subject
+from repro.core import SentimentMiner, Subject
 from repro.core.disambiguation import Disambiguator, TopicTermSet
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
-from repro.miners import (
-    AggregateStatisticsMiner,
-    DisambiguatorMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-)
-from repro.miners.base import SENTIMENT_LAYER
+from repro.miners import AggregateStatisticsMiner, SentimentEntityMiner
+from repro.miners.sentiment_miner import SENTIMENT_LAYER
 from repro.platform import (
     Cluster,
     DataStore,
@@ -53,21 +47,15 @@ def make_store() -> DataStore:
 
 
 def sentiment_pipeline() -> MinerPipeline:
-    """The paper's flow: tokenize → spot → disambiguate → sentiment."""
+    """The paper's flow: spot → disambiguate → sentiment."""
     subjects = [Subject(p) for p in DIGITAL_CAMERA.products] + [
         Subject(f) for f in DIGITAL_CAMERA.features
     ]
     terms = TopicTermSet.build(
         on_topic=list(DIGITAL_CAMERA.features) + ["camera", "photo", "picture"]
     )
-    return MinerPipeline(
-        [
-            TokenizerMiner(),
-            SpotterMiner(subjects),
-            DisambiguatorMiner(Disambiguator(terms)),
-            SentimentEntityMiner(),
-        ]
-    )
+    miner = SentimentMiner(subjects, disambiguator=Disambiguator(terms))
+    return MinerPipeline([SentimentEntityMiner(miner)])
 
 
 def sentiment_totals(store: DataStore) -> dict[str, dict[str, int]]:

@@ -16,8 +16,8 @@ the whole forest.
 import pytest
 
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
-from repro.core import Subject
-from repro.miners import SentimentEntityMiner, SpotterMiner, TokenizerMiner
+from repro.core import SentimentMiner, Subject
+from repro.miners import SentimentEntityMiner
 from repro.obs import Obs, SLOMonitor, default_serving_slos, read_trace, render_span_tree
 from repro.platform import DataStore, Entity, MinerPipeline
 
@@ -46,9 +46,7 @@ def make_pipeline(obs: Obs) -> MinerPipeline:
     subjects = [Subject(p) for p in DIGITAL_CAMERA.products] + [
         Subject(f) for f in DIGITAL_CAMERA.features
     ]
-    return MinerPipeline(
-        [TokenizerMiner(), SpotterMiner(subjects), SentimentEntityMiner(obs=obs)]
-    )
+    return MinerPipeline([SentimentEntityMiner(SentimentMiner(subjects, obs=obs))])
 
 
 def run_traced(seed: int) -> tuple:

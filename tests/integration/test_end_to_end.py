@@ -6,15 +6,9 @@ sentiment indices → hosted services → application views.
 
 import pytest
 
-from repro.core import Polarity, Subject
+from repro.core import Polarity, SentimentMiner, Subject
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
-from repro.miners import (
-    PosTaggerMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-    judgments_from,
-)
+from repro.miners import SentimentEntityMiner, judgments_from
 from repro.platform import (
     Cluster,
     CustomerDataIngestor,
@@ -46,9 +40,7 @@ def platform_stack():
     ingestion = manager.ingest()
 
     subjects = [Subject(p) for p in DIGITAL_CAMERA.products]
-    pipeline = MinerPipeline(
-        [TokenizerMiner(), PosTaggerMiner(), SpotterMiner(subjects), SentimentEntityMiner()]
-    )
+    pipeline = MinerPipeline([SentimentEntityMiner(SentimentMiner(subjects))])
     cluster = Cluster(store, num_nodes=4)
     run = cluster.run_pipeline(pipeline)
 
@@ -74,11 +66,18 @@ class TestIngestToStore:
         assert platform_stack["ingestion"].per_source == {"newsfeed": 6, "customer": 6}
         assert len(platform_stack["store"]) == 12
 
-    def test_every_entity_annotated(self, platform_stack):
-        for entity in platform_stack["store"].scan():
-            assert entity.has_layer("token")
-            assert entity.has_layer("sentence")
-            assert entity.has_layer("pos")
+    def test_every_entity_annotated(self, platform_stack, tmp_path):
+        store = platform_stack["store"]
+        store.save(tmp_path / "db")
+        loaded = {entity.entity_id: entity for entity in DataStore.load(tmp_path / "db").scan()}
+        assert len(loaded) == 12
+        for entity in store.scan():
+            assert entity.layers() == ["sentiment", "spot"]
+            spans = [a.span for a in entity.layer("spot")]
+            assert spans == [a.span for a in entity.layer("sentiment")]
+            restored = loaded[entity.entity_id]
+            for layer in ("spot", "sentiment"):
+                assert restored.layer(layer) == entity.layer(layer)
 
     def test_pipeline_ran_every_miner_on_every_entity(self, platform_stack):
         runs = platform_stack["run"].pipeline.miner_runs
@@ -127,8 +126,6 @@ class TestDeterminism:
     def test_same_seed_same_judgments(self):
         def run():
             reviews = ReviewGenerator(DIGITAL_CAMERA, seed=99).generate_dplus(4)
-            from repro.core import SentimentMiner
-
             miner = SentimentMiner(subjects=[Subject(p) for p in DIGITAL_CAMERA.products])
             out = []
             for d in reviews:

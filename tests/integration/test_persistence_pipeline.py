@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.core import Subject
+from repro.core import SentimentMiner, Subject
 from repro.corpora import DIGITAL_CAMERA, ReviewGenerator
-from repro.miners import (
-    PosTaggerMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-    judgments_from,
-)
+from repro.miners import SentimentEntityMiner, judgments_from
 from repro.platform import DataStore, Entity, InvertedIndex, MinerPipeline, SentimentIndex
 
 
@@ -20,14 +14,8 @@ def mined_store():
     store = DataStore(num_partitions=4)
     for document in reviews:
         store.store(Entity(entity_id=document.doc_id, content=document.text))
-    pipeline = MinerPipeline(
-        [
-            TokenizerMiner(),
-            PosTaggerMiner(),
-            SpotterMiner([Subject(p) for p in DIGITAL_CAMERA.products]),
-            SentimentEntityMiner(),
-        ]
-    )
+    miner = SentimentMiner([Subject(p) for p in DIGITAL_CAMERA.products])
+    pipeline = MinerPipeline([SentimentEntityMiner(miner)])
     pipeline.run(store)
     return store
 
@@ -77,5 +65,8 @@ class TestMinedStoreRoundtrip:
         mined_store.save(tmp_path / "db")
         loaded = DataStore.load(tmp_path / "db")
         for entity in loaded.scan():
-            assert entity.has_layer("token")
-            assert entity.has_layer("pos")
+            original = mined_store.get(entity.entity_id)
+            assert entity.has_layer("spot")
+            assert entity.has_layer("sentiment")
+            for layer in ("spot", "sentiment"):
+                assert entity.layer(layer) == original.layer(layer)

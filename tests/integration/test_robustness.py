@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SentimentMiner, Subject
-from repro.miners import (
-    PosTaggerMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-)
+from repro.miners import SentimentEntityMiner
 from repro.platform import Entity, MinerPipeline
 
 _text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=300)
@@ -50,14 +45,7 @@ class TestMinerNeverCrashes:
     @given(_messy)
     def test_full_platform_pipeline(self, text):
         entity = Entity(entity_id="fuzz", content=text)
-        pipeline = MinerPipeline(
-            [
-                TokenizerMiner(),
-                PosTaggerMiner(),
-                SpotterMiner([Subject("camera")]),
-                SentimentEntityMiner(),
-            ]
-        )
+        pipeline = MinerPipeline([SentimentEntityMiner(SentimentMiner([Subject("camera")]))])
         pipeline.process_entity(entity)
 
 
@@ -81,14 +69,8 @@ class TestAnnotationFaithfulness:
         """Every sentiment annotation's span contains its subject term."""
         text = " ".join(sentences)
         entity = Entity(entity_id="d", content=text)
-        pipeline = MinerPipeline(
-            [
-                TokenizerMiner(),
-                PosTaggerMiner(),
-                SpotterMiner([Subject("camera"), Subject("battery life")]),
-                SentimentEntityMiner(),
-            ]
-        )
+        miner = SentimentMiner([Subject("camera"), Subject("battery life")])
+        pipeline = MinerPipeline([SentimentEntityMiner(miner)])
         pipeline.process_entity(entity)
         for annotation in entity.layer("sentiment"):
             covered = entity.text_of(annotation).lower()
@@ -98,7 +80,9 @@ class TestAnnotationFaithfulness:
     @given(_text)
     def test_all_annotations_within_content(self, text):
         entity = Entity(entity_id="d", content=text)
-        pipeline = MinerPipeline([TokenizerMiner(), PosTaggerMiner()])
+        # Open subjects (Mode B) spot named entities, so arbitrary text
+        # still yields annotations to check.
+        pipeline = MinerPipeline([SentimentEntityMiner(SentimentMiner())])
         pipeline.process_entity(entity)
         for layer in entity.layers():
             for annotation in entity.layer(layer):

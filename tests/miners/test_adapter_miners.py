@@ -1,136 +1,102 @@
-"""Unit tests for the WebFountain adapter miners."""
+"""Unit tests for the sentiment miner as a platform entity miner."""
 
-import pytest
-
-from repro.core import Subject
+from repro.core import SentimentMiner, Subject
 from repro.core.disambiguation import Disambiguator, TopicTermSet
-from repro.miners import (
-    DisambiguatorMiner,
-    PosTaggerMiner,
-    SentimentEntityMiner,
-    SpotterMiner,
-    TokenizerMiner,
-    base,
-    judgments_from,
-)
-from repro.platform.entity import Entity
 from repro.core.mining import MinerPipeline
+from repro.miners import SentimentEntityMiner, judgments_from
+from repro.miners.sentiment_miner import SENTIMENT_LAYER, SPOT_LAYER
+from repro.platform.entity import Entity
 
 TEXT = "The camera takes excellent pictures. The battery life is disappointing."
 
 
-def tokenized_entity(text=TEXT, entity_id="d1"):
+def mined_entity(subjects, text=TEXT, entity_id="d1", disambiguator=None):
     entity = Entity(entity_id=entity_id, content=text)
-    TokenizerMiner().process(entity)
+    miner = SentimentMiner(subjects, disambiguator=disambiguator)
+    SentimentEntityMiner(miner).process(entity)
     return entity
 
 
-class TestTokenizerMiner:
-    def test_token_and_sentence_layers(self):
-        entity = tokenized_entity()
-        assert entity.has_layer(base.TOKEN_LAYER)
-        assert len(entity.layer(base.SENTENCE_LAYER)) == 2
-
-    def test_reprocessing_is_idempotent(self):
-        entity = tokenized_entity()
-        count = len(entity.layer(base.TOKEN_LAYER))
-        TokenizerMiner().process(entity)
-        assert len(entity.layer(base.TOKEN_LAYER)) == count
-
-    def test_reconstruction_roundtrip(self):
-        entity = tokenized_entity()
-        sentences = base.sentences_from(entity)
-        assert [s.text_of(TEXT) for s in sentences] == [
-            "The camera takes excellent pictures.",
-            "The battery life is disappointing.",
-        ]
+def layer_records(entity):
+    return {
+        layer: entity.to_record()["annotations"].get(layer)
+        for layer in (SPOT_LAYER, SENTIMENT_LAYER)
+    }
 
 
-class TestPosTaggerMiner:
-    def test_pos_layer_written(self):
-        entity = tokenized_entity()
-        PosTaggerMiner().process(entity)
-        tags = {entity.text_of(a): a.label for a in entity.layer(base.POS_LAYER)}
-        assert tags["camera"] == "NN"
-        assert tags["takes"] == "VBZ"
-
-
-class TestSpotterMiner:
+class TestSpotLayer:
     def test_spots_annotated(self):
-        entity = tokenized_entity()
-        SpotterMiner([Subject("camera"), Subject("battery life")]).process(entity)
-        labels = [a.label for a in entity.layer(base.SPOT_LAYER)]
+        entity = mined_entity([Subject("camera"), Subject("battery life")])
+        labels = [a.label for a in entity.layer(SPOT_LAYER)]
         assert labels == ["camera", "battery life"]
 
+    def test_label_is_canonical_subject(self):
+        entity = mined_entity([Subject("Canon", synonyms=("camera",))])
+        (spot,) = entity.layer(SPOT_LAYER)
+        assert spot.label == "Canon"
+        assert entity.text_of(spot) == "camera"
+
     def test_sentence_attribute(self):
-        entity = tokenized_entity()
-        SpotterMiner([Subject("battery life")]).process(entity)
-        (a,) = entity.layer(base.SPOT_LAYER)
+        entity = mined_entity([Subject("battery life")])
+        (a,) = entity.layer(SPOT_LAYER)
         assert a.attribute("sentence") == 1
 
-    def test_requires_subjects(self):
-        with pytest.raises(ValueError):
-            SpotterMiner([])
-
-
-class TestDisambiguatorMiner:
     def test_off_topic_spots_removed(self):
-        text = "The SUN rose over the beach. The weather was sunny."
-        entity = tokenized_entity(text)
-        SpotterMiner([Subject("SUN")]).process(entity)
         terms = TopicTermSet.build(["server", "java"], ["beach", "weather", "sunny"])
-        DisambiguatorMiner(Disambiguator(terms)).process(entity)
-        assert entity.layer(base.SPOT_LAYER) == []
-        assert entity.metadata["spots_found"] == 1
-        assert entity.metadata["spots_on_topic"] == 0
+        entity = mined_entity(
+            [Subject("SUN")],
+            "The SUN rose over the beach. The weather was sunny.",
+            disambiguator=Disambiguator(terms),
+        )
+        assert entity.layer(SPOT_LAYER) == []
+        assert entity.layer(SENTIMENT_LAYER) == []
 
     def test_on_topic_spots_kept(self):
-        text = "SUN shipped a java server. The java tools improved."
-        entity = tokenized_entity(text)
-        SpotterMiner([Subject("SUN")]).process(entity)
         terms = TopicTermSet.build(["server", "java"], ["beach"])
-        DisambiguatorMiner(Disambiguator(terms)).process(entity)
-        assert len(entity.layer(base.SPOT_LAYER)) == 1
+        entity = mined_entity(
+            [Subject("SUN")],
+            "SUN shipped a java server. The java tools improved.",
+            disambiguator=Disambiguator(terms),
+        )
+        assert len(entity.layer(SPOT_LAYER)) == 1
 
 
 class TestSentimentEntityMiner:
     def test_judgments_annotated(self):
-        entity = tokenized_entity()
-        SpotterMiner([Subject("camera"), Subject("battery life")]).process(entity)
-        SentimentEntityMiner().process(entity)
+        entity = mined_entity([Subject("camera"), Subject("battery life")])
         sentiments = {
-            a.attribute("subject"): a.label for a in entity.layer(base.SENTIMENT_LAYER)
+            a.attribute("subject"): a.label for a in entity.layer(SENTIMENT_LAYER)
         }
         assert sentiments["camera"] == "+"
         assert sentiments["battery life"] == "-"
 
     def test_polar_only_filter(self):
-        entity = tokenized_entity("I saw the camera. The camera is excellent.")
-        SpotterMiner([Subject("camera")]).process(entity)
-        SentimentEntityMiner().process(entity)
+        entity = mined_entity([Subject("camera")], "I saw the camera. The camera is excellent.")
         polar = [j.polarity.value for j in judgments_from(entity) if j.polarity.is_polar]
         assert polar == ["+"]
 
     def test_judgments_from_roundtrip(self):
-        entity = tokenized_entity()
-        SpotterMiner([Subject("camera")]).process(entity)
-        SentimentEntityMiner().process(entity)
+        entity = mined_entity([Subject("camera")])
         judgments = judgments_from(entity)
         assert [j.subject_name for j in judgments][0] == "camera"
         assert judgments[0].spot.document_id == "d1"
+        assert [j.spot.span for j in judgments] == [a.span for a in entity.layer(SPOT_LAYER)]
+
+    def test_reprocessing_is_idempotent(self):
+        miner = SentimentEntityMiner(SentimentMiner([Subject("camera"), Subject("battery life")]))
+        entity = Entity(entity_id="d1", content=TEXT)
+        miner.process(entity)
+        first = layer_records(entity)
+        miner.process(entity)
+        assert layer_records(entity) == first
+        assert len(first[SPOT_LAYER]) == 2
 
 
 class TestFullPipelineOnCluster:
     def test_mode_a_pipeline_layers(self):
-        pipeline = MinerPipeline(
-            [
-                TokenizerMiner(),
-                PosTaggerMiner(),
-                SpotterMiner([Subject("camera")]),
-                SentimentEntityMiner(),
-            ]
-        )
+        miner = SentimentEntityMiner(SentimentMiner([Subject("camera")]))
+        pipeline = MinerPipeline([miner])
         entity = Entity(entity_id="d1", content=TEXT)
         pipeline.process_entity(entity)
-        assert entity.has_layer(base.SENTIMENT_LAYER)
-
+        assert entity.has_layer(SENTIMENT_LAYER)
+        assert entity.layers() == [SENTIMENT_LAYER, SPOT_LAYER]

@@ -1,7 +1,8 @@
 """The tokenizer's and tagger's per-word-type tables change speed only.
 
-``Tokenizer`` keeps a table from regex match to its split and
-``PosTagger`` one from ``(text, position == 0)`` to the lexical tag.
+``Tokenizer`` keeps one table, shared by all its instances, from regex
+match to its split, and each ``PosTagger`` one from
+``(text, position == 0)`` to the lexical tag.
 Served from those tables, both must equal the direct computation
 (``_split_raw`` per match, ``_lexical_tag`` per token) on any text —
 including the material the corpus generators never produce: unicode
@@ -85,21 +86,32 @@ class TestTokenizerTable:
             for token in tokens:
                 assert_same_token(token, Token(token.text, token.start, token.end))
 
-    def test_table_is_per_instance(self):
+    def test_table_is_shared(self, monkeypatch):
+        monkeypatch.setattr(Tokenizer, "_splits", {})
         first, second = Tokenizer(), Tokenizer()
         assert [t.text for t in first.tokenize("Inc. rose")] == ["Inc.", "rose"]
-        assert first._splits and not second._splits
-        assert [t.text for t in second.tokenize("Inc. rose")] == ["Inc.", "rose"]
+        assert set(second._splits) == {"Inc.", "rose"}
 
-    def test_bound_clears_and_keeps_outputs(self):
-        bounded, reference = Tokenizer(), Tokenizer()
-        bounded._SPLIT_TABLE_MAX = 8
+        def no_split(*args):
+            raise AssertionError("a table hit must not split again")
+
+        monkeypatch.setattr(Tokenizer, "_split_raw", no_split)
+        assert [t.text for t in second.tokenize("Inc. rose")] == ["Inc.", "rose"]
+        assert second.terms("Inc. rose") == ["inc.", "rose"]
+
+    def test_bound_clears_and_keeps_outputs(self, monkeypatch):
+        monkeypatch.setattr(Tokenizer, "_splits", {})
+        monkeypatch.setattr(Tokenizer, "_SPLIT_TABLE_MAX", 8)
+        tokenizer = Tokenizer()
         words = [f"Word{i}'s" for i in range(50)] + ["Inc.", "U.S.", "don't"]
         for word in words + words:
             text = f"{word} rose…"
-            assert bounded.tokenize(text) == reference.tokenize(text)
-            assert len(bounded._splits) <= 8
-        assert len(reference._splits) > 8
+            assert tokenizer.tokenize(text) == direct_tokens(tokenizer, text)
+            assert len(Tokenizer._splits) <= 8
+        monkeypatch.setattr(Tokenizer, "_SPLIT_TABLE_MAX", 16384)
+        for word in words:
+            tokenizer.tokenize(f"{word} rose…")
+        assert len(Tokenizer._splits) > 8
 
 
 #: Material for :meth:`Tokenizer.terms` beyond :func:`prose`: trailing
@@ -138,16 +150,17 @@ class TestTokenizerTerms:
         for text in ("", " ", "\n\t ", "\u00a0\u2003"):
             assert tokenizer.terms(text) == lowered(tokenizer, text) == []
 
-    def test_terms_share_the_bounded_table(self):
-        bounded, reference = Tokenizer(), Tokenizer()
-        bounded._SPLIT_TABLE_MAX = 8
+    def test_terms_share_the_bounded_table(self, monkeypatch):
+        monkeypatch.setattr(Tokenizer, "_splits", {})
+        monkeypatch.setattr(Tokenizer, "_SPLIT_TABLE_MAX", 8)
+        tokenizer = Tokenizer()
         words = [f"Word{i}'s" for i in range(50)] + ["Inc.", "U.S.", "don't"]
         for word in words + words:
             text = f"{word} rose 1,000.5…"
-            assert bounded.terms(text) == lowered(reference, text)
-            assert len(bounded._splits) <= 8
-            assert bounded.tokenize(text) == reference.tokenize(text)
-        assert len(reference._splits) > 8
+            direct = direct_tokens(tokenizer, text)
+            assert tokenizer.terms(text) == [token.lower for token in direct]
+            assert len(Tokenizer._splits) <= 8
+            assert tokenizer.tokenize(text) == direct
 
 
 class TestTaggerTable:

@@ -14,6 +14,13 @@ with four delta batches and crash-restart recovery, each with the
 those flags.  They pin the router's, the scenario's and recovery's
 tuning constants.
 
+Four cluster runs of the Mode A entity miner are frozen too: the
+reputation app's rendered Figure 4 (masked) and Figure 5 views with its
+``search.query`` totals, at the ``bench_fig45_reporting`` configuration
+and on ``examples/reputation_dashboard.py``'s reviews; every stored
+``spot`` and ``sentiment`` annotation of ``repro platform --docs 40``;
+and ``figure1_scaling``'s ``(nodes, makespan, speedup)`` series.
+
 Regenerate fixtures (only after an *intentional* semantics change)::
 
     PYTHONPATH=src python -m tests.support.golden
@@ -21,9 +28,14 @@ Regenerate fixtures (only after an *intentional* semantics change)::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 
+import repro.platform
+from repro.apps import ReputationManager
+from repro.cli import main
 from repro.core import Subject
 from repro.core.disambiguation import Disambiguator, TopicTermSet
 from repro.core.miner import MiningResult, SentimentMiner
@@ -35,7 +47,10 @@ from repro.corpora import (
     PHARMACEUTICAL,
     ReviewGenerator,
     WebPageGenerator,
+    camera_reviews,
+    pharmaceutical_web,
 )
+from repro.eval import figure1_scaling
 from repro.obs import Obs
 from repro.platform.serving import build_scenario
 
@@ -226,6 +241,125 @@ def serving_report(flags: dict) -> dict:
     return build_scenario(**flags).run()
 
 
+# -- cluster runs of the Mode A entity miner ----------------------------------------
+
+
+#: ``benchmarks/conftest.py``'s default scale and seed.
+BENCH_SCALE = 0.15
+BENCH_SEED = 2005
+
+#: The ``repro platform`` flags whose stored layers are frozen.
+PLATFORM_FLAGS = ["--docs", "40"]
+
+
+def search_totals(manager, queries: list[str]) -> dict[str, int]:
+    """``search.query`` totals over the manager's hosted services."""
+    return {
+        query: manager.bus.request("search.query", {"q": query})["data"]["total"]
+        for query in queries
+    }
+
+
+def reputation_report(manager, vocab) -> dict:
+    """Figure 4 (masked) and Figure 5 views plus search totals of a built manager."""
+    top = manager.summaries()[0]
+    return {
+        "figure4_masked": manager.render_product_summary(mask_names=True),
+        "figure5": manager.render_sentences(top.subject, limit=5),
+        "search_totals": search_totals(
+            manager,
+            [
+                "sentiment:+",
+                f"spot:{vocab.products[0]}",
+                '"battery life" AND disappointing',
+            ],
+        ),
+    }
+
+
+def reputation_fig45_report() -> dict:
+    """``bench_fig45_reporting``'s manager over the pharmaceutical pages."""
+    dataset = pharmaceutical_web(seed=BENCH_SEED, scale=BENCH_SCALE)
+    manager = ReputationManager(
+        [Subject(p) for p in PHARMACEUTICAL.products], num_partitions=8, num_nodes=4
+    )
+    manager.load_documents((d.doc_id, d.text) for d in dataset.dplus)
+    manager.build()
+    return reputation_report(manager, PHARMACEUTICAL)
+
+
+def reputation_example_report() -> dict:
+    """``examples/reputation_dashboard.py``'s manager over camera reviews."""
+    dataset = camera_reviews(scale=0.06)
+    manager = ReputationManager(
+        [Subject(name) for name in DIGITAL_CAMERA.products], num_partitions=8, num_nodes=4
+    )
+    manager.load_documents((d.doc_id, d.text) for d in dataset.dplus)
+    manager.build()
+    return reputation_report(manager, DIGITAL_CAMERA)
+
+
+def annotation_line(record: dict) -> str:
+    """One stored annotation record as one line: span, label, attributes."""
+    attributes = " ".join(f"{k}={v!r}" for k, v in sorted(record["attributes"].items()))
+    return f"{record['start']}:{record['end']} {record['label']} {attributes}"
+
+
+def stored_layers(store) -> dict:
+    """Every ``spot`` and ``sentiment`` annotation in the store, per entity, in order."""
+    out: dict[str, dict] = {}
+    for entity in sorted(store.scan(), key=lambda e: e.entity_id):
+        annotations = entity.to_record()["annotations"]
+        out[entity.entity_id] = {
+            layer: [annotation_line(record) for record in annotations.get(layer, [])]
+            for layer in ("spot", "sentiment")
+        }
+    return out
+
+
+@contextlib.contextmanager
+def recorded_stores():
+    """Collect every ``DataStore`` the CLI builds while the block runs."""
+    stores: list = []
+    original = repro.platform.DataStore
+
+    class RecordingDataStore(original):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(self)
+
+    repro.platform.DataStore = RecordingDataStore
+    try:
+        yield stores
+    finally:
+        repro.platform.DataStore = original
+
+
+def platform_layers_report() -> dict:
+    """The stored ``spot``/``sentiment`` layers of one ``repro platform`` run."""
+    with recorded_stores() as stores:
+        assert main(["platform", *PLATFORM_FLAGS, "--json"], out=io.StringIO()) == 0
+    (store,) = stores
+    return stored_layers(store)
+
+
+def figure1_report() -> dict:
+    """``figure1_scaling``'s ingestion counts and scaling series."""
+    result = figure1_scaling(seed=BENCH_SEED, scale=BENCH_SCALE)
+    return {
+        "ingestion_per_source": result.ingestion_per_source,
+        "scaling": [list(point) for point in result.scaling],
+    }
+
+
+CLUSTER_RUNS = {
+    "reputation_fig45.json": reputation_fig45_report,
+    "reputation_example.json": reputation_example_report,
+    "platform_docs40_layers.json": platform_layers_report,
+    "figure1_scaling.json": figure1_report,
+}
+
+
 def canonical_json(report: dict) -> str:
     """The byte form every golden is stored in."""
     return json.dumps(report, indent=1, sort_keys=True) + "\n"
@@ -247,6 +381,7 @@ def regenerate() -> list[str]:
     reports.update(
         (name, serving_report(flags)) for name, flags in SERVING_RUNS.items()
     )
+    reports.update((name, run()) for name, run in CLUSTER_RUNS.items())
     for name, report in reports.items():
         with open(fixture_path(name), "w", encoding="utf-8") as stream:
             stream.write(canonical_json(report))
